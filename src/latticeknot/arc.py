@@ -86,14 +86,20 @@ class ArcPresentation:
 
 
 def validate(raw_pairs) -> ArcPresentation:
-    """Check all presentation invariants; report every violation at once."""
+    """Check all presentation invariants; report every violation at once.
+
+    raw_pairs must be a list or tuple of 2-element lists or tuples of ints;
+    nothing is coerced, so floats, bools and strings are rejected.
+    """
     violations: list[tuple[str, str]] = []
-    try:
-        pairs = [(int(p[0]), int(p[1])) for p in raw_pairs]
-    except (TypeError, ValueError, IndexError):
+    if not isinstance(raw_pairs, (list, tuple)) or not all(
+        isinstance(p, (list, tuple)) and len(p) == 2 and all(type(i) is int for i in p)
+        for p in raw_pairs
+    ):
         raise PresentationError(
-            [("index_out_of_range", "input is not a list of index pairs")]
-        ) from None
+            [("index_out_of_range", "input is not a list of integer index pairs")]
+        )
+    pairs = [(p[0], p[1]) for p in raw_pairs]
     a = len(pairs)
     if a < 2:
         raise PresentationError(
@@ -197,8 +203,6 @@ class NonStarWitness:
     beta_raw: int
     alpha_raw: int
     gamma_raw: int
-    page_low: int
-    page_high: int
 
 
 def find_nonstar_witness(P: ArcPresentation) -> NonStarWitness | None:
@@ -214,13 +218,10 @@ def find_nonstar_witness(P: ArcPresentation) -> NonStarWitness | None:
         f1, f2 = P.far_ends(beta)
         diff = (f1 - f2) % a
         if diff not in (1, a - 1):
-            p1, p2 = P.pages_at(beta)
             return NonStarWitness(
                 beta_raw=beta,
                 alpha_raw=min(f1, f2),
                 gamma_raw=max(f1, f2),
-                page_low=p1,
-                page_high=p2,
             )
     return None
 

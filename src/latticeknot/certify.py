@@ -1,16 +1,17 @@
 """Branch selection, construction, and machine-readable certificates.
 
-construct_auto picks the construction for a presentation: non-star input
+build_branch picks the construction for a presentation: non-star input
 goes through the flip-and-lift build (3a-4 sticks); a star-shaped input in
 torus order gets the reduced basic build (3a-2); any other star-shaped
 input is dualized, which provably yields a non-star presentation of the
-same knot.  check_bounds then scores the result against crossing-number
-bounds for a user-supplied crossing number.
+same knot.  construct_auto certifies the result, and check_bounds then
+scores it against crossing-number bounds for a user-supplied crossing
+number.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .arc import (
     ArcPresentation,
@@ -24,12 +25,10 @@ from .diagram import alexander, arc_to_planar, project_polygon
 from .errors import InternalInvariantError
 from .lattice import (
     LatticePolygon,
-    SelfIntersectionError,
     construct_basic,
     construct_nonstar,
     reduce_ends,
     stick_count,
-    validate_polygon,
 )
 
 MAX_ARC_COUNT = 64  # keeps every exact-geometry pass instant
@@ -108,56 +107,63 @@ class ConstructionCertificate:
         }
 
 
+def build_branch(P: ArcPresentation, branch: str) -> tuple[str, LatticePolygon]:
+    """Build the polygon of one construction branch; return (branch, polygon).
+
+    "auto" picks the branch the paper prescribes and requires 5 <= a <= 64:
+    "nonstar" for non-star input, "torus-star" (the reduced build) for a
+    star-shaped input in torus order, "dual-nonstar" otherwise.  "basic",
+    "reduced" and "nonstar" may also be asked for directly; "nonstar" then
+    rejects star-shaped input.  Each constructor validates its polygon and
+    checks its stick count.
+    """
+    if branch == "auto":
+        if not 5 <= P.a <= MAX_ARC_COUNT:
+            raise ArcCountOutOfRangeError(f"pipeline needs 5 <= a <= {MAX_ARC_COUNT}, got a={P.a}")
+        if not is_star_shaped(P):
+            branch = "nonstar"
+        elif torus_order_check(P) is not None:
+            branch = "torus-star"
+        else:
+            branch = "dual-nonstar"
+    if branch == "basic":
+        return branch, construct_basic(P)
+    if branch in ("reduced", "torus-star"):
+        return branch, reduce_ends(construct_basic(P), P)
+    if branch == "dual-nonstar":
+        P = dual(P)
+        if is_star_shaped(P):
+            raise InternalInvariantError(
+                "dual of a star-shaped, non-torus-order presentation must be non-star"
+            )
+    elif branch != "nonstar":
+        raise ValueError(f"unknown branch {branch!r}")
+    witness = find_nonstar_witness(P)
+    if witness is None:
+        raise ValueError("presentation is star shaped; the nonstar branch needs a witness")
+    return branch, construct_nonstar(normalize_for_nonstar(P, witness))
+
+
 def construct_auto(
     P: ArcPresentation, *, check_invariant: bool = True
 ) -> tuple[LatticePolygon, ConstructionCertificate]:
     """Run the full pipeline on a presentation and certify the result.
 
-    Exactly one branch fires.  The polygon is always validated, and unless
-    check_invariant is off, the canonical Alexander polynomial of the
-    projected polygon is compared with the input presentation's.
+    Exactly one branch fires (see build_branch), and its constructor
+    validates the polygon.  Unless check_invariant is off, the canonical
+    Alexander polynomial of the projected polygon is compared with the
+    input presentation's.
     """
     a = P.a
-    if not 5 <= a <= MAX_ARC_COUNT:
-        raise ArcCountOutOfRangeError(f"pipeline needs 5 <= a <= {MAX_ARC_COUNT}, got a={a}")
-
-    torus_params = None
-    if not is_star_shaped(P):
-        branch = "nonstar"
-        witness = find_nonstar_witness(P)
-        if witness is None:
-            raise InternalInvariantError("non-star presentation has no witness")
-        poly = construct_nonstar(normalize_for_nonstar(P, witness))
-        expected = 3 * a - 4
-        bound_name = "3a-4"
-    else:
-        torus = torus_order_check(P)
-        if torus is not None:
-            branch = "torus-star"
-            torus_params = (torus.n + 1, torus.n)
-            poly = reduce_ends(construct_basic(P), P)
-            expected = 3 * a - 2
-            bound_name = "3a-2"
-        else:
-            branch = "dual-nonstar"
-            D = dual(P)
-            if is_star_shaped(D):
-                raise InternalInvariantError(
-                    "dual of a star-shaped, non-torus-order presentation must be non-star"
-                )
-            witness = find_nonstar_witness(D)
-            if witness is None:
-                raise InternalInvariantError("non-star dual has no witness")
-            poly = construct_nonstar(normalize_for_nonstar(D, witness))
-            expected = 3 * a - 4
-            bound_name = "3a-4"
-
-    violations = validate_polygon(poly)
-    if violations:
-        raise SelfIntersectionError(violations)
+    branch, poly = build_branch(P, "auto")
     count = stick_count(poly)
-    if count != expected:
-        raise InternalInvariantError(f"branch {branch} produced {count} sticks, expected {expected}")
+    if branch == "torus-star":
+        n = (a - 1) // 2  # the (n+1, n)-torus knot, a = 2n+1
+        torus_params = (n + 1, n)
+        bound_name, expected = "3a-2", 3 * a - 2
+    else:
+        torus_params = None
+        bound_name, expected = "3a-4", 3 * a - 4
 
     if check_invariant:
         p_in = alexander(arc_to_planar(P))
@@ -186,8 +192,6 @@ def check_bounds(
     cert: ConstructionCertificate,
     c: int,
     *,
-    alternating: bool = False,
-    prime: bool = False,
     non_alternating_prime: bool = False,
 ) -> ConstructionCertificate:
     """Append crossing-number bound checks for a user-supplied c.

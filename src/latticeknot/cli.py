@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 all checks hold, 2 a bound check failed, 3 invariant
-mismatch, 4 invalid input, 64 usage error.
+mismatch, 4 invalid input, 64 usage error, 70 internal error (a pipeline
+bug, EX_SOFTWARE).
 """
 
 from __future__ import annotations
@@ -22,20 +23,18 @@ from .arc import (
     rotate_pages,
     torus_order_check,
 )
-from .certify import ArcCountOutOfRangeError, check_bounds, construct_auto
-from .diagram import alexander, arc_to_planar, jones_kauffman, project_polygon
+from .certify import ArcCountOutOfRangeError, build_branch, check_bounds, construct_auto
+from .diagram import (
+    NoGenericDirectionError,
+    alexander,
+    arc_to_planar,
+    jones_kauffman,
+    project_polygon,
+    simplify_diagram,
+)
 from .errors import InternalInvariantError
 from .jsonio import canonical_dumps, detect_input, presentation_from_obj, polygon_from_obj
-from .lattice import (
-    LatticePolygon,
-    SelfIntersectionError,
-    construct_basic,
-    reduce_ends,
-    construct_nonstar,
-    stick_count,
-    validate_polygon,
-)
-from .arc import find_nonstar_witness, normalize_for_nonstar
+from .lattice import LatticePolygon, SelfIntersectionError, require_valid
 from .render import render_obj, render_svg
 
 EXIT_OK = 0
@@ -43,6 +42,7 @@ EXIT_BOUND_FAILED = 2
 EXIT_MISMATCH = 3
 EXIT_INVALID = 4
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 
 class _UsageError(Exception):
@@ -60,7 +60,7 @@ def _read_json(path: str):
         return json.loads(text)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -115,25 +115,9 @@ def _cmd_star(args) -> int:
     return EXIT_OK
 
 
-def _build_branch(P: ArcPresentation, branch: str) -> LatticePolygon:
-    if branch == "auto":
-        poly, _ = construct_auto(P, check_invariant=False)
-        return poly
-    if branch == "basic":
-        return construct_basic(P)
-    if branch == "reduced":
-        return reduce_ends(construct_basic(P), P)
-    if branch == "nonstar":
-        w = find_nonstar_witness(P)
-        if w is None:
-            raise ValueError("presentation is star shaped; the nonstar branch needs a witness")
-        return construct_nonstar(normalize_for_nonstar(P, w))
-    raise ValueError(f"unknown branch {branch!r}")
-
-
 def _cmd_build(args) -> int:
     P = _load_presentation(args.file)
-    poly = _build_branch(P, args.branch)
+    _, poly = build_branch(P, args.branch)
     text = canonical_dumps(poly.to_json_obj())
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -146,9 +130,6 @@ def _cmd_build(args) -> int:
 def _cmd_invariant(args) -> int:
     value = detect_input(_read_json(args.file))
     if isinstance(value, LatticePolygon):
-        violations = validate_polygon(value)
-        if violations:
-            raise SelfIntersectionError(violations)
         diagram = project_polygon(value)
     else:
         diagram = arc_to_planar(value)
@@ -160,8 +141,6 @@ def _cmd_invariant(args) -> int:
         "crossings": diagram.n,
     }
     if args.jones:
-        from .diagram import simplify_diagram
-
         out["jones_bracket"] = jones_kauffman(simplify_diagram(diagram), cap=args.jones_cap).coeff_list()
     if args.pd:
         out["pd_code"] = diagram.pd_code_text().splitlines()
@@ -172,13 +151,7 @@ def _cmd_invariant(args) -> int:
 def _cmd_certify(args) -> int:
     P = _load_presentation(args.file)
     poly, cert = construct_auto(P, check_invariant=not args.skip_invariant)
-    cert = check_bounds(
-        cert,
-        args.c,
-        alternating=args.alternating,
-        prime=args.prime or args.non_alternating_prime,
-        non_alternating_prime=args.non_alternating_prime,
-    )
+    cert = check_bounds(cert, args.c, non_alternating_prime=args.non_alternating_prime)
     _print(cert.to_json_obj())
     if cert.invariant_match.status == "mismatched":
         return EXIT_MISMATCH
@@ -188,10 +161,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    poly = polygon_from_obj(_read_json(args.file))
-    violations = validate_polygon(poly)
-    if violations:
-        raise SelfIntersectionError(violations)
+    poly = require_valid(polygon_from_obj(_read_json(args.file)))
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(render_svg(poly))
@@ -260,8 +230,6 @@ def _make_parser() -> _Parser:
 
     p = sub.add_parser("certify", help="run the pipeline and check bounds")
     p.add_argument("--c", type=int, required=True, help="minimal crossing number of the knot")
-    p.add_argument("--alternating", action="store_true")
-    p.add_argument("--prime", action="store_true")
     p.add_argument("--non-alternating-prime", action="store_true")
     p.add_argument("--skip-invariant", action="store_true")
     p.add_argument("file")
@@ -301,9 +269,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PresentationError, ArcCountOutOfRangeError, SelfIntersectionError, ValueError, KeyError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except InternalInvariantError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except (InternalInvariantError, NoGenericDirectionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

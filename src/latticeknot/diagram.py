@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .arc import ArcPresentation
 from .errors import InternalInvariantError
-from .lattice import LatticePolygon, SelfIntersectionError, validate_polygon
-from .laurent import LaurentPolynomial, ZeroPolynomialError, canonicalize
+from .lattice import LatticePolygon, require_valid
+from .laurent import LaurentPolynomial, canonicalize
 
 
 class NoGenericDirectionError(RuntimeError):
@@ -118,11 +119,13 @@ def _cross2(u: tuple[int, int], v: tuple[int, int]) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _assemble(events: list[tuple[object, bool, tuple[int, int]]]) -> PlanarDiagram:
-    """Build a diagram from traversal events (key, passes_over, 2-D direction).
+def _assemble(events: list[tuple[object, bool]], signs: dict) -> PlanarDiagram:
+    """Build a diagram from traversal events (key, passes_over) and crossing signs.
 
-    Every key must occur exactly twice, once over and once under.  Edge j
-    follows event j; the edge entering event 1 is edge 2n.
+    Every key must occur exactly twice, once over and once under; signs
+    maps it to the crossing's sign.  Crossings are numbered in order of
+    first passage.  Edge j follows event j; the edge entering event 1 is
+    edge 2n.
     """
     total = len(events)
     if total == 0:
@@ -133,36 +136,54 @@ def _assemble(events: list[tuple[object, bool, tuple[int, int]]]) -> PlanarDiagr
     def in_edge(j: int) -> int:
         return j - 1 if j > 1 else total
 
-    passages: dict[object, list[tuple[int, bool, tuple[int, int]]]] = {}
-    order: list[object] = []
-    for j, (key, over, d) in enumerate(events, start=1):
-        if key not in passages:
-            order.append(key)
-        passages.setdefault(key, []).append((j, over, d))
+    passages: dict[object, list[tuple[bool, int]]] = {}
+    for j, (key, over) in enumerate(events, start=1):
+        passages.setdefault(key, []).append((over, j))
 
     crossings = []
-    index_of: dict[object, int] = {}
-    for key in order:
-        ps = passages[key]
-        if len(ps) != 2 or ps[0][1] == ps[1][1]:
+    for key, ps in passages.items():
+        if len(ps) != 2 or ps[0][0] == ps[1][0]:
             raise InternalInvariantError(f"crossing {key} needs one over and one under passage")
-        (jo, _, do) = ps[0] if ps[0][1] else ps[1]
-        (ju, _, du) = ps[1] if ps[0][1] else ps[0]
-        turn = _cross2(du, do)
-        if turn == 0:
-            raise InternalInvariantError(f"crossing {key} has parallel strands")
-        index_of[key] = len(crossings)
+        (_, ju), (_, jo) = sorted(ps)
         crossings.append(
             Crossing(
                 over_in=in_edge(jo),
                 over_out=jo,
                 under_in=in_edge(ju),
                 under_out=ju,
-                sign=1 if turn > 0 else -1,
+                sign=signs[key],
             )
         )
-    gauss = tuple((index_of[key], "O" if over else "U") for key, over, _ in events)
+    index_of = {key: k for k, key in enumerate(passages)}
+    gauss = tuple((index_of[key], "O" if over else "U") for key, over in events)
     return PlanarDiagram(tuple(crossings), total, gauss)
+
+
+def segment_crossings(
+    pts: list[tuple[int, int]],
+) -> Iterator[tuple[int, int, Fraction, Fraction, int]]:
+    """Meeting points of non-adjacent segments of the closed polyline pts.
+
+    Segment k runs from pts[k] to pts[k+1 mod m].  Yields (s1, s2, t1, t2,
+    den) for every pair s1 < s2 of non-parallel segments that meet at
+    exact parameters 0 <= t1, t2 <= 1, in order of s1 then s2.  den is the
+    cross product of the two directions; it is positive when segment s2
+    crosses segment s1 from right to left.  Parallel pairs are skipped.
+    """
+    m = len(pts)
+    dirs = [(pts[(k + 1) % m][0] - pts[k][0], pts[(k + 1) % m][1] - pts[k][1]) for k in range(m)]
+    for s1 in range(m):
+        d1 = dirs[s1]
+        for s2 in range(s1 + 2, m if s1 else m - 1):
+            d2 = dirs[s2]
+            den = _cross2(d1, d2)
+            if den == 0:
+                continue
+            rel = (pts[s2][0] - pts[s1][0], pts[s2][1] - pts[s1][1])
+            n1, n2 = _cross2(rel, d2), _cross2(rel, d1)
+            lo, hi = (0, den) if den > 0 else (den, 0)
+            if lo <= n1 <= hi and lo <= n2 <= hi:
+                yield s1, s2, Fraction(n1, den), Fraction(n2, den), den
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +201,10 @@ def arc_to_planar(P: ArcPresentation) -> PlanarDiagram:
     rows = {k: pair for k, pair in enumerate(P.arcs, start=1)}
     cols = {i: P.pages_at(i) for i in range(1, a + 1)}
 
-    events: list[tuple[object, bool, tuple[int, int]]] = []
+    # the under strand runs horizontally and the over strand vertically, so
+    # a crossing's sign is the product of the two steps through it
+    events: list[tuple[object, bool]] = []
+    signs: dict[tuple[int, int], int] = {}
     col, row = rows[1][1], 1
     start = (col, row)
     for _ in range(a):
@@ -191,7 +215,8 @@ def arc_to_planar(P: ArcPresentation) -> PlanarDiagram:
         for m in range(col + step, dest, step):
             lo, hi = cols[m]
             if lo < row < hi:
-                events.append(((m, row), False, (step, 0)))
+                events.append(((m, row), False))
+                signs[m, row] = signs.get((m, row), 1) * step
         col = dest
         # vertical run in `col` from `row` to its other incident page
         k1, k2 = cols[col]
@@ -200,11 +225,12 @@ def arc_to_planar(P: ArcPresentation) -> PlanarDiagram:
         for r in range(row + vstep, vdest, vstep):
             ri, rj = rows[r]
             if ri < col < rj:
-                events.append(((col, r), True, (0, vstep)))
+                events.append(((col, r), True))
+                signs[col, r] = signs.get((col, r), 1) * vstep
         row = vdest
     if (col, row) != start:
         raise InternalInvariantError("grid traversal did not close")
-    return _assemble(events)
+    return _assemble(events, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +246,7 @@ def project_polygon(poly: LatticePolygon) -> PlanarDiagram:
     images, no triple points.  Over/under comes from exact depth along the
     projection direction (larger depth is nearer the viewer).
     """
-    violations = validate_polygon(poly)
-    if violations:
-        raise SelfIntersectionError(violations)
-    verts = poly.vertices()
-    m = len(verts)
+    verts = require_valid(poly).vertices()
     M = max(1, max(abs(c) for v in verts for c in v))
     for B in range(M + 2, M + 2 + 64):
         result = _try_projection(verts, B)
@@ -279,47 +301,36 @@ def _try_projection(verts: list[tuple[int, int, int]], B: int) -> PlanarDiagram 
             if max(lo1, lo2) < min(hi1, hi2):
                 return None
 
-    # transversal interior intersections, one per non-adjacent pair at most
-    hits: dict[int, list[tuple[Fraction, int]]] = {k: [] for k in range(m)}
-    seen_points: dict[tuple[Fraction, Fraction], tuple[int, int]] = {}
+    # transversal interior intersections, one per non-adjacent pair at most;
+    # the strand with the larger depth passes over
+    hits: dict[int, list[tuple[Fraction, int, bool]]] = {k: [] for k in range(m)}
+    seen_points: set[tuple[Fraction, Fraction]] = set()
+    signs: dict[tuple[int, int], int] = {}
     depths = [depth(v) for v in verts]
-    for s1 in range(m):
-        for s2 in range(s1 + 1, m):
-            if s2 == s1 + 1 or (s1 == 0 and s2 == m - 1):
-                continue
-            d1, d2 = dirs[s1], dirs[s2]
-            den = _cross2(d1, d2)
-            if den == 0:
-                continue
-            a1 = seg[s1][0]
-            a2 = seg[s2][0]
-            rel = (a2[0] - a1[0], a2[1] - a1[1])
-            t1 = Fraction(_cross2(rel, d2), den)
-            t2 = Fraction(_cross2(rel, d1), den)
-            if not (0 < t1 < 1 and 0 < t2 < 1):
-                if (0 <= t1 <= 1 and 0 <= t2 <= 1):
-                    return None  # boundary contact the earlier checks missed
-                continue
-            pt = (a1[0] + t1 * d1[0], a1[1] + t1 * d1[1])
-            if pt in seen_points:
-                return None  # triple point
-            seen_points[pt] = (s1, s2)
-            hits[s1].append((t1, s2))
-            hits[s2].append((t2, s1))
+    for s1, s2, t1, t2, den in segment_crossings(pts):
+        if not (0 < t1 < 1 and 0 < t2 < 1):
+            return None  # boundary contact the earlier checks missed
+        a1, d1 = pts[s1], dirs[s1]
+        pt = (a1[0] + t1 * d1[0], a1[1] + t1 * d1[1])
+        if pt in seen_points:
+            return None  # triple point
+        seen_points.add(pt)
+        here = depths[s1] + t1 * (depths[(s1 + 1) % m] - depths[s1])
+        there = depths[s2] + t2 * (depths[(s2 + 1) % m] - depths[s2])
+        if here == there:
+            raise InternalInvariantError("equal depths at a projected crossing")
+        s1_over = here > there
+        # positive when the over direction is the under one turned counterclockwise
+        sign = 1 if den > 0 else -1
+        signs[s1, s2] = -sign if s1_over else sign
+        hits[s1].append((t1, s2, s1_over))
+        hits[s2].append((t2, s1, not s1_over))
 
-    events: list[tuple[object, bool, tuple[int, int]]] = []
+    events: list[tuple[object, bool]] = []
     for s in range(m):
-        h_in = depths[s]
-        h_out = depths[(s + 1) % m]
-        for t, other in sorted(hits[s]):
-            key = (min(s, other), max(s, other))
-            here = Fraction(h_in) + t * (h_out - h_in)
-            to = next(tt for tt, ss in hits[other] if ss == s)
-            there = Fraction(depths[other]) + to * (depths[(other + 1) % m] - depths[other])
-            if here == there:
-                raise InternalInvariantError("equal depths at a projected crossing")
-            events.append((key, here > there, dirs[s]))
-    return _assemble(events)
+        for _, other, over in sorted(hits[s]):
+            events.append(((min(s, other), max(s, other)), over))
+    return _assemble(events, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -365,39 +376,6 @@ def faces(d: PlanarDiagram) -> list[list[tuple[int, int]]]:
     return out
 
 
-def _rebuild(events: list[tuple[int, str]], signs: dict[int, int]) -> PlanarDiagram:
-    """Diagram from a gauss event list (original crossing id, role) and signs."""
-    total = len(events)
-    if total == 0:
-        return PlanarDiagram((), 1, ())
-
-    def in_edge(j: int) -> int:
-        return j - 1 if j > 1 else total
-
-    order: list[int] = []
-    where: dict[int, dict[str, int]] = {}
-    for j, (cid, role) in enumerate(events, start=1):
-        if cid not in where:
-            where[cid] = {}
-            order.append(cid)
-        where[cid][role] = j
-    crossings = []
-    for cid in order:
-        jo, ju = where[cid]["O"], where[cid]["U"]
-        crossings.append(
-            Crossing(
-                over_in=in_edge(jo),
-                over_out=jo,
-                under_in=in_edge(ju),
-                under_out=ju,
-                sign=signs[cid],
-            )
-        )
-    index_of = {cid: k for k, cid in enumerate(order)}
-    gauss = tuple((index_of[cid], role) for cid, role in events)
-    return PlanarDiagram(tuple(crossings), total, gauss)
-
-
 def simplify_diagram(d: PlanarDiagram) -> PlanarDiagram:
     """Remove kinks and reducible bigon pairs until none remain.
 
@@ -405,7 +383,7 @@ def simplify_diagram(d: PlanarDiagram) -> PlanarDiagram:
     with one strand over at both corners and the other under at both.  Both
     moves preserve the knot type.
     """
-    events = [(ci, role) for ci, role in d.gauss]
+    events = [(ci, role == "O") for ci, role in d.gauss]
     signs = {ci: c.sign for ci, c in enumerate(d.crossings)}
 
     while True:
@@ -423,7 +401,7 @@ def simplify_diagram(d: PlanarDiagram) -> PlanarDiagram:
             del signs[kink]
             continue
 
-        current = _rebuild(events, signs)
+        current = _assemble(events, signs)
         reducible = None
         old_ids = [cid for cid in dict.fromkeys(cid for cid, _ in events)]
         for face in faces(current):
@@ -454,7 +432,7 @@ def simplify_diagram(d: PlanarDiagram) -> PlanarDiagram:
         events = [ev for ev in events if ev[0] not in reducible]
         for cid in reducible:
             del signs[cid]
-    return _rebuild(events, signs)
+    return _assemble(events, signs)
 
 
 # ---------------------------------------------------------------------------

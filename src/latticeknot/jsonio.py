@@ -24,15 +24,18 @@ def presentation_from_obj(obj) -> ArcPresentation:
 
 
 def polygon_from_obj(obj) -> LatticePolygon:
-    if not isinstance(obj, dict) or "sticks" not in obj:
-        raise ValueError('expected an object with a "sticks" key')
+    if not isinstance(obj, dict) or not isinstance(obj.get("sticks"), list):
+        raise ValueError('expected an object with a "sticks" list')
     sticks = []
     for k, raw in enumerate(obj["sticks"]):
         try:
             axis = raw["axis"]
             lo, hi = raw["range"]
             n1, n2 = FIXED_COORDS[axis]
-            sticks.append(LatticeStick(axis, int(lo), int(hi), int(raw["fixed"][n1]), int(raw["fixed"][n2])))
+            coords = (lo, hi, raw["fixed"][n1], raw["fixed"][n2])
+            if not all(type(v) is int for v in coords):
+                raise ValueError("coordinates must be integers")
+            sticks.append(LatticeStick(axis, *coords))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"stick {k} is malformed: {exc}") from exc
     return LatticePolygon(tuple(sticks))

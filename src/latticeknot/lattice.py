@@ -180,7 +180,8 @@ def validate_polygon(poly: LatticePolygon) -> list[Violation]:
     return violations
 
 
-def _require_valid(poly: LatticePolygon) -> LatticePolygon:
+def require_valid(poly: LatticePolygon) -> LatticePolygon:
+    """Return poly, or raise SelfIntersectionError with its violations."""
     violations = validate_polygon(poly)
     if violations:
         raise SelfIntersectionError(violations)
@@ -282,7 +283,7 @@ def _end_reductions(sticks: list[LatticeStick], P: ArcPresentation) -> None:
 
     # binding index 1: two x-sticks at y=1; drop the shorter, reroute the z-stick
     (i1, i2), (k1, k2) = P.far_ends(1), P.pages_at(1)
-    pages1 = {P.far_ends(1)[t]: P.pages_at(1)[t] for t in (0, 1)}
+    pages1 = dict(zip((i1, i2), (k1, k2)))
     if i1 == i2:
         raise InternalInvariantError("both arcs at binding 1 have the same far end")
     i_short, i_long = min(i1, i2), max(i1, i2)
@@ -301,7 +302,7 @@ def _end_reductions(sticks: list[LatticeStick], P: ArcPresentation) -> None:
 
     # binding index a: two y-sticks at x=a; mirrored reduction
     (j1, j2), (l1, l2) = P.far_ends(a), P.pages_at(a)
-    pages_a = {P.far_ends(a)[t]: P.pages_at(a)[t] for t in (0, 1)}
+    pages_a = dict(zip((j1, j2), (l1, l2)))
     if j1 == j2:
         raise InternalInvariantError("both arcs at binding a have the same far end")
     j_long, j_short = min(j1, j2), max(j1, j2)  # larger lower endpoint = shorter stick
@@ -328,7 +329,7 @@ def construct_basic(P: ArcPresentation) -> LatticePolygon:
     if P.a < 5:
         raise ValueError(f"construction needs a >= 5, got a={P.a}")
     poly = _cyclic_order(_basic_sticks(P))
-    _require_valid(poly)
+    require_valid(poly)
     if len(poly.sticks) != 3 * P.a:
         raise InternalInvariantError(f"basic construction produced {len(poly.sticks)} sticks")
     return poly
@@ -341,7 +342,7 @@ def reduce_ends(poly: LatticePolygon, P: ArcPresentation) -> LatticePolygon:
         raise InternalInvariantError("reduce_ends expects the 3a-stick basic construction")
     _end_reductions(sticks, P)
     out = _cyclic_order(sticks)
-    _require_valid(out)
+    require_valid(out)
     if len(out.sticks) != 3 * P.a - 2:
         raise InternalInvariantError(f"end reductions produced {len(out.sticks)} sticks")
     return out
@@ -409,7 +410,7 @@ def construct_nonstar(nns: NormalizedNonStar) -> LatticePolygon:
     """
     P = nns.presentation
     out = _merge_collinear(_cyclic_order(_nonstar_sticks(nns, nns.lift_page)))
-    _require_valid(out)
+    require_valid(out)
     if len(out.sticks) != 3 * P.a - 4:
         raise InternalInvariantError(f"non-star construction produced {len(out.sticks)} sticks")
     return out
@@ -426,6 +427,6 @@ def lift_sweep(nns: NormalizedNonStar) -> list[LatticePolygon]:
     out = []
     for level in range(1, nns.lift_page + 1):
         poly = _merge_collinear(_cyclic_order(_nonstar_sticks(nns, level)))
-        _require_valid(poly)
+        require_valid(poly)
         out.append(poly)
     return out

@@ -120,9 +120,6 @@ class LaurentPolynomial:
         """Multiply by t**k."""
         return LaurentPolynomial({e + k: c for e, c in self._coeffs.items()})
 
-    def scaled(self, c: int) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: c * v for e, v in self._coeffs.items()})
-
     def evaluate(self, x):
         """Evaluate at an int or Fraction; negative exponents need x != 0."""
         total: int | Fraction = 0

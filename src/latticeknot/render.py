@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from .diagram import segment_crossings
 from .lattice import LatticePolygon
 
 # isometric axis images, scaled by 30 to stay integral:
@@ -29,10 +30,6 @@ def _depth(p: tuple[int, int, int]) -> int:
     return 26 * x + 30 * y + 15 * z
 
 
-def _cross2(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def render_svg(poly: LatticePolygon) -> str:
     """Isometric drawing with gaps cut into the strand passing behind."""
     verts = poly.vertices()
@@ -43,30 +40,19 @@ def render_svg(poly: LatticePolygon) -> str:
 
     # cut intervals (in segment parameter) for under-passages
     cuts: dict[int, list[tuple[Fraction, Fraction]]] = {k: [] for k in range(m)}
-    for s1 in range(m):
-        for s2 in range(s1 + 1, m):
-            if s2 == s1 + 1 or (s1 == 0 and s2 == m - 1):
-                continue
-            (a1, b1), (a2, b2) = segs[s1], segs[s2]
-            d1 = (b1[0] - a1[0], b1[1] - a1[1])
-            d2 = (b2[0] - a2[0], b2[1] - a2[1])
-            den = _cross2(d1, d2)
-            if den == 0:
-                continue
-            rel = (a2[0] - a1[0], a2[1] - a1[1])
-            t1 = Fraction(_cross2(rel, d2), den)
-            t2 = Fraction(_cross2(rel, d1), den)
-            if not (0 < t1 < 1 and 0 < t2 < 1):
-                continue
-            h1 = depths[s1] + t1 * (depths[(s1 + 1) % m] - depths[s1])
-            h2 = depths[s2] + t2 * (depths[(s2 + 1) % m] - depths[s2])
-            if h1 == h2:
-                continue  # projective coincidence of distinct points; draw plain
-            under, t_under, d_under = (s1, t1, d1) if h1 < h2 else (s2, t2, d2)
-            seg_len = isqrt(d_under[0] ** 2 + d_under[1] ** 2)
-            half_gap = int(_GAP * _SCALE)
-            dt = min(Fraction(1, 3), Fraction(half_gap, max(seg_len, 1)))
-            cuts[under].append((max(Fraction(0), t_under - dt), min(Fraction(1), t_under + dt)))
+    for s1, s2, t1, t2, _ in segment_crossings(pts):
+        if not (0 < t1 < 1 and 0 < t2 < 1):
+            continue  # touching strands need no gap
+        h1 = depths[s1] + t1 * (depths[(s1 + 1) % m] - depths[s1])
+        h2 = depths[s2] + t2 * (depths[(s2 + 1) % m] - depths[s2])
+        if h1 == h2:
+            continue  # projective coincidence of distinct points; draw plain
+        under, t_under = (s1, t1) if h1 < h2 else (s2, t2)
+        (ax, ay), (bx, by) = segs[under]
+        seg_len = isqrt((bx - ax) ** 2 + (by - ay) ** 2)
+        half_gap = int(_GAP * _SCALE)
+        dt = min(Fraction(1, 3), Fraction(half_gap, max(seg_len, 1)))
+        cuts[under].append((max(Fraction(0), t_under - dt), min(Fraction(1), t_under + dt)))
 
     lines = []
     for k in range(m):

@@ -94,6 +94,11 @@ class TestValidate:
         codes = {code for code, _ in err.value.violations}
         assert {"degenerate_arc", "index_out_of_range", "binding_degree"} <= codes
 
+    @pytest.mark.parametrize("bad", [[1.7, 4], [True, 4], ["1", 4], [1, 4, 9], [1], 14])
+    def test_non_integer_pairs_rejected(self, bad):
+        with pytest.raises(PresentationError):
+            lk.validate([bad, [2, 5], [1, 3], [2, 4], [3, 5]])
+
     def test_random_generators_validate(self):
         rng = random.Random(5)
         for _ in range(100):

@@ -2,10 +2,12 @@
 
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import latticeknot as lk
 from latticeknot.cli import main
@@ -81,6 +83,9 @@ class TestBasicCommands:
         assert code == 64
         code, _, _ = run(["rotate", files["3_1"]])
         assert code == 64
+        for removed in ("--alternating", "--prime"):
+            code, _, _ = run(["certify", files["4_1"], "--c", "4", removed])
+            assert code == 64
 
     def test_missing_file_exit_4(self):
         code, _, err = run(["validate", "/nonexistent/x.json"])
@@ -98,6 +103,12 @@ class TestBuildInvariant:
             code, out, _ = run(["build", "--branch", branch, files["4_1"]])
             assert code == 0
             assert len(json.loads(out)["sticks"]) == count
+
+    def test_build_reduced_is_auto_on_torus_order(self, files):
+        _, auto, _ = run(["build", files["3_1"]])
+        code, reduced, _ = run(["build", "--branch", "reduced", files["3_1"]])
+        assert code == 0
+        assert reduced == auto
 
     def test_build_nonstar_rejects_star(self, files):
         code, _, err = run(["build", "--branch", "nonstar", files["3_1"]])
@@ -167,6 +178,37 @@ class TestCertifyExitCodes:
         monkeypatch.setattr(cli_mod, "construct_auto", forced_mismatch)
         code, _, _ = run(["certify", files["4_1"], "--c", "4"])
         assert code == 3
+
+
+class TestInternalErrors:
+    """A pipeline bug exits 70 with a one-line message, never 4 or a traceback."""
+
+    def test_star_shaped_dual_exit_70(self, tmp_path, monkeypatch):
+        import latticeknot.certify as certify_mod
+
+        P = next(
+            Q
+            for Q in (lk.random_star_presentation(7, random.Random(s)) for s in range(100))
+            if lk.torus_order_check(Q) is None
+        )
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(P.to_json_obj()))
+        monkeypatch.setattr(certify_mod, "dual", lambda Q: Q)  # a dual that stays star shaped
+        code, out, err = run(["certify", str(path), "--c", "5"])
+        assert code == 70
+        assert out == ""
+        assert err.startswith("internal error: dual of a star-shaped")
+        assert "Traceback" not in err
+
+    def test_no_generic_direction_exit_70(self, files, monkeypatch):
+        import latticeknot.diagram as diagram_mod
+
+        monkeypatch.setattr(diagram_mod, "_try_projection", lambda verts, B: None)
+        code, out, err = run(["certify", files["4_1"], "--c", "4"])
+        assert code == 70
+        assert out == ""
+        assert err.startswith("internal error: no generic direction among B=")
+        assert "Traceback" not in err
 
 
 class TestRender:
@@ -248,9 +290,82 @@ class TestRoundTrips:
         P = jsonio.presentation_from_obj(json.loads(out))
         assert jsonio.canonical_dumps(P.to_json_obj()) == out.strip()
 
+    @pytest.mark.parametrize(
+        "stick",
+        [
+            {"axis": "x", "range": [0.5, 1], "fixed": {"y": 1, "z": 1}},
+            {"axis": "x", "range": [True, 2], "fixed": {"y": 1, "z": 1}},
+            {"axis": "x", "range": [0, 1, 2], "fixed": {"y": 1, "z": 1}},
+            {"axis": "x", "range": [0, 1], "fixed": {"y": 1.0, "z": 1}},
+            {"axis": "x", "range": [0, 1], "fixed": {"y": "1", "z": 1}},
+        ],
+    )
+    def test_polygon_rejects_non_integer_coordinates(self, stick):
+        from latticeknot import jsonio
+
+        with pytest.raises(ValueError):
+            jsonio.polygon_from_obj({"sticks": [stick]})
+
     def test_polygon_round_trip(self, files):
         from latticeknot import jsonio
 
         _, out, _ = run(["build", files["3_1"]])
         poly = jsonio.polygon_from_obj(json.loads(out))
         assert jsonio.canonical_dumps(poly.to_json_obj()) == out.strip()
+
+
+_SCALARS = st.one_of(
+    st.integers(-2, 10),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+)
+_ANY_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["arcs", "sticks", "axis", "range", "fixed", "x", "y"]), inner, max_size=3
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _presentation_docs(draw):
+    """Valid presentations, near-misses with one pair replaced, and junk arcs."""
+    P = lk.random_presentation(draw(st.integers(3, 8)), random.Random(draw(st.integers(0, 2**16))))
+    arcs = [list(pair) for pair in P.arcs]
+    if draw(st.booleans()):
+        arcs[draw(st.integers(0, len(arcs) - 1))] = draw(st.lists(_SCALARS, max_size=3) | _SCALARS)
+    return {"arcs": draw(st.just(arcs) | _ANY_JSON)}
+
+
+@st.composite
+def _polygon_docs(draw):
+    """Built polygons, some with one field of one stick replaced, and junk sticks."""
+    P = lk.random_presentation(draw(st.integers(5, 7)), random.Random(draw(st.integers(0, 2**16))))
+    doc = lk.construct_basic(P).to_json_obj()
+    if draw(st.booleans()):
+        stick = draw(st.sampled_from(doc["sticks"]))
+        field = draw(st.sampled_from(["axis", "range", "fixed"]))
+        inner = stick[field]
+        if isinstance(inner, list):
+            inner[draw(st.integers(0, 1))] = draw(_SCALARS)
+        elif isinstance(inner, dict):
+            inner[draw(st.sampled_from(sorted(inner)))] = draw(_SCALARS)
+        else:
+            stick[field] = draw(_ANY_JSON)
+    return {"sticks": draw(st.just(doc["sticks"]) | _ANY_JSON)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["validate", "invariant"]),
+    doc=_presentation_docs() | _polygon_docs() | _ANY_JSON,
+)
+@example(command="invariant", doc={"sticks": 5})
+def test_any_json_input_gets_a_documented_exit_code(command, doc):
+    code, _, err = run([command, "-"], stdin_text=json.dumps(doc))
+    assert code in {0, 2, 3, 4, 64, 70}
+    assert "Traceback" not in err

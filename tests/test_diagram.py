@@ -57,6 +57,19 @@ class TestSimplify:
             assert S.n <= D.n
             assert S.check() == []
 
+    def test_idempotent_on_grid_and_projected_diagrams(self):
+        # simplify reassembles crossings from gauss events and stored signs;
+        # a second pass must reproduce the first exactly, signs included
+        rng = random.Random(44)
+        for _ in range(20):
+            P = lk.random_presentation(rng.randint(5, 9), rng)
+            poly, _ = lk.construct_auto(P, check_invariant=False)
+            for D in (lk.arc_to_planar(P), lk.project_polygon(poly)):
+                S = lk.simplify_diagram(D)
+                again = lk.simplify_diagram(S)
+                assert again.crossings == S.crossings
+                assert again.gauss == S.gauss
+
     def test_unknot_collapses(self):
         # trivial a=3 cycle: three arcs, unknotted
         D = lk.arc_to_planar(lk.validate([[1, 2], [2, 3], [1, 3]]))

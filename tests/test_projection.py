@@ -1,9 +1,11 @@
 """Exact generic projection of lattice polygons to diagrams."""
 
 import random
+from fractions import Fraction
 
 import latticeknot as lk
 from latticeknot import LatticePolygon, LatticeStick
+from latticeknot.diagram import segment_crossings
 
 
 def unit_square():
@@ -15,6 +17,23 @@ def unit_square():
             LatticeStick("y", 0, 1, 0, 0),
         )
     )
+
+
+class TestSegmentCrossings:
+    def test_transversal_hit_exact(self):
+        # segments 0 and 2 cross at (4, 2); segments 1 and 3 are parallel
+        pts = [(0, 0), (6, 3), (6, 0), (0, 6)]
+        assert list(segment_crossings(pts)) == [(0, 2, Fraction(2, 3), Fraction(1, 3), 54)]
+
+    def test_boundary_contact_reported(self):
+        # vertex (2, 0) ends segment 2 on the interior of segment 0;
+        # segments 1 and 3 miss each other
+        pts = [(0, 0), (4, 0), (4, 2), (2, 0)]
+        assert list(segment_crossings(pts)) == [(0, 2, Fraction(1, 2), Fraction(1), -8)]
+
+    def test_adjacent_segments_never_paired(self):
+        pts = [(0, 0), (2, 0), (2, 2), (0, 2)]
+        assert list(segment_crossings(pts)) == []
 
 
 class TestProjectPolygon:
