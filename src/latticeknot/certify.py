@@ -31,7 +31,9 @@ from .lattice import (
     stick_count,
 )
 
-MAX_ARC_COUNT = 64  # keeps every exact-geometry pass instant
+# bounds the polygon size (about 3a sticks) for the quadratic geometry
+# passes; Alexander time is not bounded by it and grows steeply from a = 24
+MAX_ARC_COUNT = 64
 
 
 class ArcCountOutOfRangeError(ValueError):

@@ -141,7 +141,7 @@ def _cmd_invariant(args) -> int:
         "crossings": diagram.n,
     }
     if args.jones:
-        out["jones_bracket"] = jones_kauffman(simplify_diagram(diagram), cap=args.jones_cap).coeff_list()
+        out["jones_bracket"] = jones_kauffman(simplify_diagram(diagram)).coeff_list()
     if args.pd:
         out["pd_code"] = diagram.pd_code_text().splitlines()
     _print(out)
@@ -223,7 +223,6 @@ def _make_parser() -> _Parser:
 
     p = sub.add_parser("invariant", help="Alexander polynomial and determinant")
     p.add_argument("--jones", action="store_true", help="also compute the Kauffman bracket Jones form")
-    p.add_argument("--jones-cap", type=int, default=20)
     p.add_argument("--pd", action="store_true", help="include the PD-code lines of the diagram")
     p.add_argument("file", help="presentation or polygon JSON")
     p.set_defaults(func=_cmd_invariant)

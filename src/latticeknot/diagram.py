@@ -3,8 +3,8 @@
 Diagrams come from two sources: the grid picture of an arc presentation
 (vertical strands over horizontal, the standard grid convention) and exact
 generic projections of 3-D lattice polygons.  Invariants: Alexander
-polynomial from a Wirtinger matrix minor, the knot determinant, and an
-optional Kauffman-bracket Jones polynomial.
+polynomial of a Wirtinger minor by Bareiss elimination over Z[t], the knot
+determinant, and an optional Kauffman-bracket Jones polynomial.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ class NoGenericDirectionError(RuntimeError):
 
 class CrossingCapExceededError(ValueError):
     """The diagram has more crossings than the state-sum cap allows."""
+
+
+JONES_CAP = 20  # the Kauffman state sum visits 2**n states
 
 
 @dataclass(frozen=True)
@@ -410,23 +413,13 @@ def simplify_diagram(d: PlanarDiagram) -> PlanarDiagram:
             (c1, s1), (c2, s2) = face
             if c1 == c2:
                 continue
-            roles1 = ("U" if s1 % 2 == 0 else "O")
-            roles2 = ("U" if s2 % 2 == 0 else "O")
-            if roles1 == roles2:
-                continue  # one strand must be over on its edge, the other under
-            # each bigon edge must carry the same role at both of its ends
-            e1 = current.crossings[c1].pd[s1]
-            e2 = current.crossings[c2].pd[s2]
-            ok = True
-            for ci, cc in enumerate(current.crossings):
-                for slot, lab in enumerate(cc.pd):
-                    if lab == e1 and ((slot % 2 == 0) != (s1 % 2 == 0)):
-                        ok = False
-                    if lab == e2 and ((slot % 2 == 0) != (s2 % 2 == 0)):
-                        ok = False
-            if ok:
-                reducible = (old_ids[c1], old_ids[c2])
-                break
+            # slot parity is the role (even under); the face walk joins slot s1
+            # of c1 to slot s2-1 of c2 and s2 to s1-1 by an edge, so differing
+            # parities put one strand over at both corners, the other under
+            if s1 % 2 == s2 % 2:
+                continue
+            reducible = (old_ids[c1], old_ids[c2])
+            break
         if reducible is None:
             break
         events = [ev for ev in events if ev[0] not in reducible]
@@ -439,52 +432,29 @@ def simplify_diagram(d: PlanarDiagram) -> PlanarDiagram:
 # Alexander polynomial, determinant, Kauffman bracket
 
 
-def _bareiss_det(mat: list[list[int]]) -> int:
+def _bareiss_det(mat: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
+    """Determinant by fraction-free Bareiss elimination; every division is exact."""
     n = len(mat)
     if n == 0:
-        return 1
+        return LaurentPolynomial.one()
     m = [row[:] for row in mat]
     sign = 1
-    prev = 1
+    prev = LaurentPolynomial.one()
     for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+        if m[k][k].is_zero:
+            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
             if swap is None:
-                return 0
+                return LaurentPolynomial.zero()
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+                try:
+                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).div_exact(prev)
+                except ValueError as exc:
+                    raise InternalInvariantError(f"Bareiss step {k} is not exact: {exc}") from exc
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _interpolate(points: list[tuple[int, int]]) -> list[int]:
-    """Integer polynomial coefficients through the given (x, y) points."""
-    k = len(points)
-    coeffs = [Fraction(0)] * k
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for e, c in enumerate(basis):
-                new[e + 1] += c
-                new[e] -= xj * c
-            basis = new
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for e in range(len(basis)):
-            coeffs[e] += scale * basis[e]
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InternalInvariantError("interpolation produced non-integer coefficients")
-        out.append(int(c))
-    return out
+    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
 
 
 def _arc_of_edge(d: PlanarDiagram) -> dict[int, int]:
@@ -508,8 +478,8 @@ def alexander(D: PlanarDiagram, *, presimplify: bool = True) -> LaurentPolynomia
     The matrix row of a positive crossing puts 1-t on the over arc, t on
     the incoming under arc and -1 on the outgoing one; negative rows use
     the inverse relation (scaled by t to stay integral).  The minor drops
-    the last row and column; its determinant is recovered exactly from
-    integer evaluations and interpolation.
+    the last row and column; its determinant is one fraction-free
+    elimination over Z[t] (_bareiss_det).
     """
     d = simplify_diagram(D) if presimplify else D
     n = d.n
@@ -536,20 +506,7 @@ def alexander(D: PlanarDiagram, *, presimplify: bool = True) -> LaurentPolynomia
             rows[r][ui] = rows[r][ui] + one
             rows[r][uo] = rows[r][uo] - t
 
-    size = n - 1
-    xs = []
-    v = 1
-    while len(xs) < n:
-        xs.append(v)
-        if len(xs) < n:
-            xs.append(-v)
-        v += 1
-    values = []
-    for x in xs:
-        mat = [[rows[i][j].evaluate(x) for j in range(size)] for i in range(size)]
-        values.append(_bareiss_det(mat))
-    coeffs = _interpolate(list(zip(xs, values)))
-    poly = LaurentPolynomial.from_coeffs(coeffs)
+    poly = _bareiss_det([row[: n - 1] for row in rows[: n - 1]])
     if poly.is_zero:
         raise InternalInvariantError("Alexander minor vanished; diagram is not a knot")
     return canonicalize(poly)
@@ -560,12 +517,12 @@ def determinant(D: PlanarDiagram) -> int:
     return abs(alexander(D).evaluate(-1))
 
 
-def jones_kauffman(D: PlanarDiagram, cap: int = 20) -> LaurentPolynomial:
+def jones_kauffman(D: PlanarDiagram) -> LaurentPolynomial:
     """Writhe-corrected Kauffman bracket by full state sum, in the bracket
-    variable A, canonicalized.  Refuses diagrams above the crossing cap."""
+    variable A, canonicalized.  Refuses diagrams above JONES_CAP crossings."""
     n = D.n
-    if n > cap:
-        raise CrossingCapExceededError(f"{n} crossings exceeds cap {cap}")
+    if n > JONES_CAP:
+        raise CrossingCapExceededError(f"{n} crossings exceeds cap {JONES_CAP}")
     if n == 0:
         return LaurentPolynomial.one()
     writhe = sum(c.sign for c in D.crossings)

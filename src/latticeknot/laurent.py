@@ -40,13 +40,13 @@ class LaurentPolynomial:
         return cls({0: 1})
 
     @classmethod
-    def t_power(cls, exponent: int, coefficient: int = 1) -> "LaurentPolynomial":
-        return cls({exponent: coefficient})
+    def t_power(cls, exponent: int) -> "LaurentPolynomial":
+        return cls({exponent: 1})
 
     @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int], min_exp: int = 0) -> "LaurentPolynomial":
-        """Dense constructor: coeffs[k] is the coefficient of t**(min_exp + k)."""
-        return cls({min_exp + k: c for k, c in enumerate(coeffs)})
+    def from_coeffs(cls, coeffs: Iterable[int]) -> "LaurentPolynomial":
+        """Dense constructor: coeffs[k] is the coefficient of t**k."""
+        return cls(dict(enumerate(coeffs)))
 
     # -- basic queries -------------------------------------------------
 

@@ -60,6 +60,14 @@ class TestConstructAuto:
             want = 3 * a - 2 if cert.branch == "torus-star" else 3 * a - 4
             assert cert.stick_count == want
 
+    @pytest.mark.parametrize("a", [16, 20, 24])
+    def test_stick_law_and_match_past_a9(self, a):
+        rng = random.Random(7000 + a)
+        for _ in range(3):
+            _, cert = lk.construct_auto(lk.random_presentation(a, rng))
+            assert cert.invariant_match.status == "matched"
+            assert cert.stick_count == 3 * a - 4
+
     def test_arc_count_gate(self):
         with pytest.raises(lk.ArcCountOutOfRangeError):
             lk.construct_auto(lk.validate([[1, 2], [1, 2]]))

@@ -86,6 +86,8 @@ class TestBasicCommands:
         for removed in ("--alternating", "--prime"):
             code, _, _ = run(["certify", files["4_1"], "--c", "4", removed])
             assert code == 64
+        code, _, _ = run(["invariant", files["4_1"], "--jones", "--jones-cap", "48"])
+        assert code == 64
 
     def test_missing_file_exit_4(self):
         code, _, err = run(["validate", "/nonexistent/x.json"])
@@ -208,6 +210,17 @@ class TestInternalErrors:
         assert code == 70
         assert out == ""
         assert err.startswith("internal error: no generic direction among B=")
+        assert "Traceback" not in err
+
+    def test_inexact_bareiss_division_exit_70(self, files, monkeypatch):
+        def inexact(self, other):
+            raise ValueError("inexact polynomial division")
+
+        monkeypatch.setattr(lk.LaurentPolynomial, "div_exact", inexact)
+        code, out, err = run(["invariant", files["4_1"]])
+        assert code == 70
+        assert out == ""
+        assert err.startswith("internal error:")
         assert "Traceback" not in err
 
 

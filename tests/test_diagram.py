@@ -6,6 +6,7 @@ import pytest
 
 import latticeknot as lk
 from latticeknot import LaurentPolynomial as LP
+from latticeknot.diagram import _bareiss_det
 
 from conftest import star_in_order, torus_alexander
 
@@ -89,6 +90,11 @@ class TestAlexander:
         P = star_in_order(9)
         assert lk.alexander(lk.arc_to_planar(P)) == torus_alexander(5, 4)
 
+    @pytest.mark.parametrize("a", [11, 13, 15])
+    def test_torus_formula_oracle_past_a9(self, a):
+        n = (a - 1) // 2
+        assert lk.alexander(lk.arc_to_planar(star_in_order(a))) == torus_alexander(n + 1, n)
+
     def test_mirror_insensitive(self):
         rng = random.Random(44)
         for _ in range(20):
@@ -108,6 +114,58 @@ class TestAlexander:
         for _ in range(30):
             p = lk.alexander(lk.arc_to_planar(lk.random_presentation(rng.randint(5, 9), rng)))
             assert abs(p.evaluate(1)) == 1
+
+
+def cofactor_det(mat):
+    """Reference determinant by expansion along the first row."""
+    if not mat:
+        return LP.one()
+    total = LP.zero()
+    for j, entry in enumerate(mat[0]):
+        term = entry * cofactor_det([row[:j] + row[j + 1 :] for row in mat[1:]])
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def sparse_poly(rng):
+    if rng.random() < 0.4:
+        return LP.zero()
+    return LP({rng.randint(-2, 2): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))})
+
+
+class TestBareiss:
+    def random_matrix(self, rng, size):
+        return [[sparse_poly(rng) for _ in range(size)] for _ in range(size)]
+
+    def test_matches_cofactor_expansion(self):
+        rng = random.Random(48)
+        for size in range(6):
+            for _ in range(15):
+                mat = self.random_matrix(rng, size)
+                assert _bareiss_det(mat) == cofactor_det(mat)
+
+    def test_zero_leading_pivot_swaps_rows(self):
+        rng = random.Random(49)
+        for size in range(2, 6):
+            for _ in range(10):
+                mat = self.random_matrix(rng, size)
+                mat[0][0] = LP.zero()
+                mat[1][0] = LP.t_power(-1) - LP.one()  # a nonzero pivot below
+                want = cofactor_det(mat)
+                assert _bareiss_det(mat) == want
+                assert _bareiss_det(mat[1:2] + mat[:1] + mat[2:]) == -want
+
+    def test_singular_is_zero(self):
+        rng = random.Random(50)
+        for size in range(2, 6):
+            for _ in range(10):
+                mat = self.random_matrix(rng, size)
+                zero_column = [[LP.zero()] + row[1:] for row in mat]
+                multiple = LP({1: 2, -1: -1})
+                last_row_scaled = mat[:-1] + [[multiple * e for e in mat[0]]]
+                for singular in (zero_column, last_row_scaled):
+                    assert cofactor_det(singular).is_zero
+                    assert _bareiss_det(singular).is_zero
 
 
 class TestDeterminant:
