@@ -56,7 +56,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_json(path: str):
     try:
-        text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
         return json.loads(text)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
@@ -133,7 +137,8 @@ def _cmd_invariant(args) -> int:
         diagram = project_polygon(value)
     else:
         diagram = arc_to_planar(value)
-    poly = alexander(diagram)
+    simplified = simplify_diagram(diagram)
+    poly = alexander(simplified, presimplify=False)
     out = {
         "alexander": poly.coeff_list(),
         "alexander_str": str(poly),
@@ -141,7 +146,7 @@ def _cmd_invariant(args) -> int:
         "crossings": diagram.n,
     }
     if args.jones:
-        out["jones_bracket"] = jones_kauffman(simplify_diagram(diagram)).coeff_list()
+        out["jones_bracket"] = jones_kauffman(simplified).coeff_list()
     if args.pd:
         out["pd_code"] = diagram.pd_code_text().splitlines()
     _print(out)

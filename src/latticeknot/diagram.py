@@ -3,14 +3,19 @@
 Diagrams come from two sources: the grid picture of an arc presentation
 (vertical strands over horizontal, the standard grid convention) and exact
 generic projections of 3-D lattice polygons.  Invariants: Alexander
-polynomial of a Wirtinger minor by Bareiss elimination over Z[t], the knot
-determinant, and an optional Kauffman-bracket Jones polynomial.
+polynomial of a Wirtinger minor, the knot determinant, and an optional
+Kauffman-bracket Jones polynomial.  The Alexander determinant is one
+fraction-free Bareiss elimination over Z after Kronecker substitution: the
+Laurent entries are packed into integers at t = 2**bits, where bits comes
+from a Hadamard bound on the determinant's coefficients, and the
+polynomial is read back from the balanced base-2**bits digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterator
 
 from .arc import ArcPresentation
@@ -433,28 +438,81 @@ def simplify_diagram(d: PlanarDiagram) -> PlanarDiagram:
 
 
 def _bareiss_det(mat: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
-    """Determinant by fraction-free Bareiss elimination; every division is exact."""
+    """Determinant by one fraction-free Bareiss elimination over Z at t = 2**bits.
+
+    Kronecker substitution: each row is shifted by its minimal exponent
+    (det picks up t**s, s the total shift), every entry is packed into the
+    integer a_ij(X) with X = 2**bits, Bareiss runs on plain ints, and the
+    coefficients of the polynomial determinant are read back as balanced
+    base-X digits.
+
+    Coefficient bound.  Let H2 = prod_i sum_j |a_ij|_1**2, with |a|_1 the sum
+    of the absolute coefficients.  On |t| = 1, |a_ij(t)| <= |a_ij|_1, so
+    Hadamard's inequality gives |det(t)|**2 <= H2; by Parseval the sum of the
+    squared coefficients of det is the mean of |det(t)|**2 over the circle,
+    hence every coefficient has magnitude at most isqrt(H2).  The same
+    argument bounds every minor of the shifted matrix (a row factor is >= 1
+    once zero rows are excluded), and Bareiss only ever holds minors.  With
+    2**bits > 2*isqrt(H2) every such coefficient lies strictly inside
+    (-X/2, X/2), so the balanced base-X digits of an integer minor are
+    exactly the coefficients of the polynomial minor.  In particular a
+    minor is zero as an integer iff it is zero as a polynomial, so pivots,
+    row swaps and the sign follow the elimination over Z[t] step for step.
+    Every division is exact by Sylvester's identity; a remainder raises
+    InternalInvariantError.
+    """
     n = len(mat)
     if n == 0:
         return LaurentPolynomial.one()
-    m = [row[:] for row in mat]
+    shift = 0
+    h2 = 1
+    rows = []
+    for row in mat:
+        terms = [p.items() for p in row]
+        lows = [its[0][0] for its in terms if its]
+        if not lows:
+            return LaurentPolynomial.zero()
+        low = min(lows)
+        shift += low
+        h2 *= sum(sum(abs(c) for _, c in its) ** 2 for its in terms)
+        rows.append((low, terms))
+    bits = (2 * isqrt(h2)).bit_length()
+    m = [[sum(c << bits * (e - low) for e, c in its) for its in terms] for low, terms in rows]
+
     sign = 1
-    prev = LaurentPolynomial.one()
+    prev = 1
     for k in range(n - 1):
-        if m[k][k].is_zero:
-            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
             if swap is None:
                 return LaurentPolynomial.zero()
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
+        top = m[k]
+        pivot = top[k]
         for i in range(k + 1, n):
+            row = m[i]
+            mik = row[k]
             for j in range(k + 1, n):
-                try:
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).div_exact(prev)
-                except ValueError as exc:
-                    raise InternalInvariantError(f"Bareiss step {k} is not exact: {exc}") from exc
-        prev = m[k][k]
-    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
+                q, r = divmod(row[j] * pivot - mik * top[j], prev)
+                if r:
+                    raise InternalInvariantError(f"Bareiss step {k} is not exact")
+                row[j] = q
+        prev = pivot
+    value = sign * m[n - 1][n - 1]
+
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    coeffs = {}
+    e = shift
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= mask + 1
+        coeffs[e] = digit
+        value = (value - digit) >> bits
+        e += 1
+    return LaurentPolynomial(coeffs)
 
 
 def _arc_of_edge(d: PlanarDiagram) -> dict[int, int]:
@@ -472,19 +530,14 @@ def _arc_of_edge(d: PlanarDiagram) -> dict[int, int]:
     return label
 
 
-def alexander(D: PlanarDiagram, *, presimplify: bool = True) -> LaurentPolynomial:
-    """Canonical Alexander polynomial via a Wirtinger matrix minor.
+def _wirtinger_minor(d: PlanarDiagram) -> list[list[LaurentPolynomial]]:
+    """Wirtinger matrix of a diagram with n >= 2 crossings, last row and column dropped.
 
     The matrix row of a positive crossing puts 1-t on the over arc, t on
     the incoming under arc and -1 on the outgoing one; negative rows use
-    the inverse relation (scaled by t to stay integral).  The minor drops
-    the last row and column; its determinant is one fraction-free
-    elimination over Z[t] (_bareiss_det).
+    the inverse relation (scaled by t to stay integral).
     """
-    d = simplify_diagram(D) if presimplify else D
     n = d.n
-    if n <= 1:
-        return LaurentPolynomial.one()
     arc = _arc_of_edge(d)
     one = LaurentPolynomial.one()
     t = LaurentPolynomial.t_power(1)
@@ -505,8 +558,21 @@ def alexander(D: PlanarDiagram, *, presimplify: bool = True) -> LaurentPolynomia
             rows[r][o] = rows[r][o] + (t - one)
             rows[r][ui] = rows[r][ui] + one
             rows[r][uo] = rows[r][uo] - t
+    return [row[: n - 1] for row in rows[: n - 1]]
 
-    poly = _bareiss_det([row[: n - 1] for row in rows[: n - 1]])
+
+def alexander(D: PlanarDiagram, *, presimplify: bool = True) -> LaurentPolynomial:
+    """Canonical Alexander polynomial via a Wirtinger matrix minor.
+
+    The determinant of the minor (_wirtinger_minor) is one fraction-free
+    Bareiss elimination over the integers after Kronecker substitution
+    t = 2**bits, with bits fixed by the Hadamard bound on the minor's
+    coefficients, so the polynomial is recovered exactly (_bareiss_det).
+    """
+    d = simplify_diagram(D) if presimplify else D
+    if d.n <= 1:
+        return LaurentPolynomial.one()
+    poly = _bareiss_det(_wirtinger_minor(d))
     if poly.is_zero:
         raise InternalInvariantError("Alexander minor vanished; diagram is not a knot")
     return canonicalize(poly)

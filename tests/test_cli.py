@@ -5,6 +5,7 @@ import json
 import random
 import sys
 from contextlib import redirect_stdout, redirect_stderr
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -131,6 +132,24 @@ class TestBuildInvariant:
         assert data["determinant"] == 3
         assert data["jones_bracket"]
 
+    def test_invariant_with_jones_simplifies_once(self, files, monkeypatch):
+        import latticeknot.cli as cli_mod
+        import latticeknot.diagram as diagram_mod
+
+        calls = []
+        simplify = diagram_mod.simplify_diagram
+
+        def counting(D):
+            calls.append(D.n)
+            return simplify(D)
+
+        monkeypatch.setattr(diagram_mod, "simplify_diagram", counting)
+        monkeypatch.setattr(cli_mod, "simplify_diagram", counting)
+        code, out, _ = run(["invariant", "--jones", files["4_1"]])
+        assert code == 0
+        assert json.loads(out)["alexander"] == [1, -3, 1]
+        assert len(calls) == 1
+
     def test_invariant_pd_export(self, files):
         code, out, _ = run(["invariant", "--pd", files["3_1"]])
         data = json.loads(out)
@@ -213,10 +232,10 @@ class TestInternalErrors:
         assert "Traceback" not in err
 
     def test_inexact_bareiss_division_exit_70(self, files, monkeypatch):
-        def inexact(self, other):
-            raise ValueError("inexact polynomial division")
+        import latticeknot.diagram as diagram_mod
 
-        monkeypatch.setattr(lk.LaurentPolynomial, "div_exact", inexact)
+        # every integer division in the elimination now leaves a remainder
+        monkeypatch.setattr(diagram_mod, "divmod", lambda a, b: (a // b, 1), raising=False)
         code, out, err = run(["invariant", files["4_1"]])
         assert code == 70
         assert out == ""
@@ -232,9 +251,9 @@ class TestRender:
         obj_path = str(files["dir"] / "p.obj")
         code, _, _ = run(["render", poly_path, "--svg", svg_path, "--obj", obj_path])
         assert code == 0
-        svg = open(svg_path).read()
+        svg = Path(svg_path).read_text()
         assert svg.startswith("<svg") and "<line" in svg
-        obj = open(obj_path).read()
+        obj = Path(obj_path).read_text()
         assert obj.count("\nl ") + obj.count("v ") > 0
 
     def test_render_needs_target(self, files):
@@ -248,7 +267,7 @@ class TestRender:
         run(["build", files["4_1"], "--out", poly_path])
         obj_path = str(files["dir"] / "p3.obj")
         run(["render", poly_path, "--obj", obj_path])
-        lines = open(obj_path).read().splitlines()
+        lines = Path(obj_path).read_text().splitlines()
         vs = [l for l in lines if l.startswith("v ")]
         ls = [l for l in lines if l.startswith("l ")]
         assert len(vs) == len(ls) == 14  # closed cycle: one vertex per stick

@@ -6,7 +6,7 @@ import pytest
 
 import latticeknot as lk
 from latticeknot import LaurentPolynomial as LP
-from latticeknot.diagram import _bareiss_det
+from latticeknot.diagram import _bareiss_det, _wirtinger_minor
 
 from conftest import star_in_order, torus_alexander
 
@@ -90,7 +90,7 @@ class TestAlexander:
         P = star_in_order(9)
         assert lk.alexander(lk.arc_to_planar(P)) == torus_alexander(5, 4)
 
-    @pytest.mark.parametrize("a", [11, 13, 15])
+    @pytest.mark.parametrize("a", [11, 13, 15, 17, 19, 21])
     def test_torus_formula_oracle_past_a9(self, a):
         n = (a - 1) // 2
         assert lk.alexander(lk.arc_to_planar(star_in_order(a))) == torus_alexander(n + 1, n)
@@ -166,6 +166,75 @@ class TestBareiss:
                 for singular in (zero_column, last_row_scaled):
                     assert cofactor_det(singular).is_zero
                     assert _bareiss_det(singular).is_zero
+
+
+def sparse_bareiss_det(mat):
+    """Reference: fraction-free Bareiss directly on LaurentPolynomial entries."""
+    n = len(mat)
+    if n == 0:
+        return LP.one()
+    m = [row[:] for row in mat]
+    sign = 1
+    prev = LP.one()
+    for k in range(n - 1):
+        if m[k][k].is_zero:
+            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
+            if swap is None:
+                return LP.zero()
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).div_exact(prev)
+        prev = m[k][k]
+    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
+
+
+def sylvester_hadamard(size):
+    h = [[1]]
+    while len(h) < size:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+class TestKroneckerBareiss:
+    @pytest.mark.parametrize("a", [12, 16, 20, 24])
+    def test_matches_sparse_reference_on_wirtinger_minors(self, a):
+        # the first two seeded presentations whose simplified grid diagram
+        # is knotted; random ones at these sizes are often unknots
+        rng = random.Random(9000 + a)
+        checked = 0
+        while checked < 2:
+            P = lk.random_presentation(a, rng)
+            if lk.simplify_diagram(lk.arc_to_planar(P)).n < 3:
+                continue
+            poly, _ = lk.construct_auto(P, check_invariant=False)
+            for D in (lk.arc_to_planar(P), lk.project_polygon(poly)):
+                d = lk.simplify_diagram(D)
+                if d.n > 1:
+                    mat = _wirtinger_minor(d)
+                    assert _bareiss_det(mat) == sparse_bareiss_det(mat)
+            checked += 1
+
+    @pytest.mark.parametrize("size", [2, 4, 8])
+    def test_hadamard_bound_is_tight(self, size):
+        # |det| of a Sylvester-Hadamard matrix is size**(size/2) = isqrt(H2),
+        # so the decoded coefficient sits at the edge of the balanced digits
+        h = sylvester_hadamard(size)
+        swapped = h[1:2] + h[:1] + h[2:]  # the other sign of the determinant
+        peak = size ** (size // 2)
+        rng = random.Random(51 + size)
+        row_exps = [rng.randint(-3, 3) for _ in range(size)]
+        col_exps = [rng.randint(-3, 3) for _ in range(size)]
+        for negate, base in ((1, h), (-1, h), (1, swapped), (-1, swapped)):
+            plain = [[LP({0: negate * x}) for x in row] for row in base]
+            by_rows = [[LP({row_exps[i]: negate * x}) for x in row] for i, row in enumerate(base)]
+            by_cols = [[LP({col_exps[j]: negate * x}) for j, x in enumerate(row)] for row in base]
+            want = _bareiss_det(plain)
+            assert want in (LP({0: peak}), LP({0: -peak}))
+            assert want == sparse_bareiss_det(plain)
+            assert _bareiss_det(by_rows) == want.shifted(sum(row_exps))
+            assert _bareiss_det(by_cols) == want.shifted(sum(col_exps))
 
 
 class TestDeterminant:
