@@ -68,6 +68,14 @@ def _read_json(path: str):
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_presentation(path: str) -> ArcPresentation:
     return presentation_from_obj(_read_json(path))
 
@@ -124,8 +132,7 @@ def _cmd_build(args) -> int:
     _, poly = build_branch(P, args.branch)
     text = canonical_dumps(poly.to_json_obj())
     if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_text(args.out, text + "\n")
     else:
         print(text)
     return EXIT_OK
@@ -168,11 +175,9 @@ def _cmd_certify(args) -> int:
 def _cmd_render(args) -> int:
     poly = require_valid(polygon_from_obj(_read_json(args.file)))
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(poly))
+        _write_text(args.svg, render_svg(poly))
     if args.obj:
-        with open(args.obj, "w", encoding="utf-8") as fh:
-            fh.write(render_obj(poly))
+        _write_text(args.obj, render_obj(poly))
     if not args.svg and not args.obj:
         raise _UsageError("render needs --svg and/or --obj")
     return EXIT_OK

@@ -249,10 +249,12 @@ def project_polygon(poly: LatticePolygon) -> PlanarDiagram:
     """Project along the first generic direction (1, B, B**2), B = M+2, M+3, ...
 
     M is the largest coordinate magnitude.  Genericity is decided with
-    exact integer and rational arithmetic: distinct vertex images, no
-    vertex on another edge's interior, no overlapping collinear edge
-    images, no triple points.  Over/under comes from exact depth along the
-    projection direction (larger depth is nearer the viewer).
+    exact integer and rational arithmetic: distinct vertex images, then one
+    segment_crossings scan that rejects triple points and any contact at an
+    edge's end, which covers vertices on edges and collinear overlaps since
+    consecutive sticks never project to parallel edges.  Over/under comes
+    from exact depth along the projection direction (larger depth is nearer
+    the viewer).
     """
     verts = require_valid(poly).vertices()
     M = max(1, max(abs(c) for v in verts for c in v))
@@ -276,50 +278,22 @@ def _try_projection(verts: list[tuple[int, int, int]], B: int) -> PlanarDiagram 
     if len(set(pts)) != m:
         return None
 
-    seg = [(pts[k], pts[(k + 1) % m]) for k in range(m)]
-    dirs = [(b[0] - a[0], b[1] - a[1]) for a, b in seg]
-
-    # no vertex may land inside another edge's image
-    for v in range(m):
-        p = pts[v]
-        for s in range(m):
-            if s == v or (s + 1) % m == v:
-                continue
-            a, b = seg[s]
-            d = dirs[s]
-            if _cross2(d, (p[0] - a[0], p[1] - a[1])) != 0:
-                continue
-            t_num = (p[0] - a[0]) * d[0] + (p[1] - a[1]) * d[1]
-            t_den = d[0] * d[0] + d[1] * d[1]
-            if 0 < t_num < t_den:
-                return None
-
-    # no two edges may overlap along a common line
-    for s1 in range(m):
-        for s2 in range(s1 + 1, m):
-            d1, d2 = dirs[s1], dirs[s2]
-            if _cross2(d1, d2) != 0:
-                continue
-            a1, b1 = seg[s1]
-            a2, b2 = seg[s2]
-            if _cross2(d1, (a2[0] - a1[0], a2[1] - a1[1])) != 0:
-                continue
-            lo1, hi1 = sorted((a1[0] * d1[0] + a1[1] * d1[1], b1[0] * d1[0] + b1[1] * d1[1]))
-            lo2, hi2 = sorted((a2[0] * d1[0] + a2[1] * d1[1], b2[0] * d1[0] + b2[1] * d1[1]))
-            if max(lo1, lo2) < min(hi1, hi2):
-                return None
-
     # transversal interior intersections, one per non-adjacent pair at most;
-    # the strand with the larger depth passes over
+    # the strand with the larger depth passes over.  Axis images x -> (B, B**2),
+    # y -> (-1, 0), z -> (0, -1) are pairwise non-parallel, so consecutive
+    # edge images never are; a vertex inside an edge s it does not bound thus
+    # has an edge neither parallel nor adjacent to s, reported here at t = 0
+    # or 1, and a collinear overlap puts a vertex inside an edge or repeats a
+    # vertex image.  Equal depths would be one 3-D point on two sticks.
     hits: dict[int, list[tuple[Fraction, int, bool]]] = {k: [] for k in range(m)}
     seen_points: set[tuple[Fraction, Fraction]] = set()
     signs: dict[tuple[int, int], int] = {}
     depths = [depth(v) for v in verts]
     for s1, s2, t1, t2, den in segment_crossings(pts):
         if not (0 < t1 < 1 and 0 < t2 < 1):
-            return None  # boundary contact the earlier checks missed
-        a1, d1 = pts[s1], dirs[s1]
-        pt = (a1[0] + t1 * d1[0], a1[1] + t1 * d1[1])
+            return None  # a vertex on another edge, or a collinear overlap
+        (x1, y1), (x2, y2) = pts[s1], pts[(s1 + 1) % m]
+        pt = (x1 + t1 * (x2 - x1), y1 + t1 * (y2 - y1))
         if pt in seen_points:
             return None  # triple point
         seen_points.add(pt)

@@ -9,8 +9,12 @@ from __future__ import annotations
 import json
 
 from .arc import ArcPresentation, validate
-from .certify import BoundCheck, ConstructionCertificate, InvariantMatch, TorusCCheck
+from .certify import MAX_ARC_COUNT, BoundCheck, ConstructionCertificate, InvariantMatch, TorusCCheck
 from .lattice import FIXED_COORDS, LatticePolygon, LatticeStick
+
+# the basic construction's size at a = MAX_ARC_COUNT, the largest polygon
+# built here; bounds the quadratic validation of polygons read from JSON
+MAX_STICKS = 3 * MAX_ARC_COUNT
 
 
 def canonical_dumps(obj) -> str:
@@ -26,6 +30,8 @@ def presentation_from_obj(obj) -> ArcPresentation:
 def polygon_from_obj(obj) -> LatticePolygon:
     if not isinstance(obj, dict) or not isinstance(obj.get("sticks"), list):
         raise ValueError('expected an object with a "sticks" list')
+    if len(obj["sticks"]) > MAX_STICKS:
+        raise ValueError(f"a polygon may have at most {MAX_STICKS} sticks, got {len(obj['sticks'])}")
     sticks = []
     for k, raw in enumerate(obj["sticks"]):
         try:

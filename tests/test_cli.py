@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import random
 import sys
 from contextlib import redirect_stdout, redirect_stderr
@@ -273,6 +274,41 @@ class TestRender:
         assert len(vs) == len(ls) == 14  # closed cycle: one vertex per stick
 
 
+class TestOutputPaths:
+    """A path that cannot be written is invalid input: exit 4, no traceback."""
+
+    @pytest.mark.parametrize("option", ["build --out", "render --svg", "render --obj"])
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_unwritable_path_exit_4(self, files, option, target):
+        poly_path = str(files["dir"] / "poly.json")
+        run(["build", files["4_1"], "--out", poly_path])
+        bad = files["dir"] / "no_such_dir" / "x" if target == "missing directory" else files["dir"]
+        command, flag = option.split()
+        source = files["4_1"] if command == "build" else poly_path
+        code, out, err = run([command, source, flag, str(bad)])
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"invalid input: cannot write {bad}: ")
+        assert "Traceback" not in err
+
+
+class TestPolygonSizeBound:
+    def test_too_many_sticks_exit_4(self):
+        sticks = [{"axis": "x", "range": [0, 1], "fixed": {"y": k, "z": 0}} for k in range(193)]
+        for command in (["invariant"], ["render", "--obj", os.devnull]):
+            code, out, err = run([*command, "-"], stdin_text=json.dumps({"sticks": sticks}))
+            assert code == 4
+            assert out == ""
+            assert err.startswith("invalid input: a polygon may have at most 192 sticks, got 193")
+
+    def test_largest_built_polygon_accepted(self):
+        from latticeknot import jsonio
+
+        poly = lk.construct_basic(lk.random_presentation(64, random.Random(64)))
+        assert len(poly.sticks) == 192
+        assert jsonio.polygon_from_obj(poly.to_json_obj()) == poly
+
+
 class TestDatasetCommands:
     def test_list(self):
         code, out, _ = run(["dataset", "list"])
@@ -393,11 +429,21 @@ def _polygon_docs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    command=st.sampled_from(["validate", "invariant"]),
+    command=st.sampled_from(
+        [
+            ("validate",),
+            ("invariant",),
+            ("dual",),
+            ("star",),
+            ("rotate", "--pages", "1"),
+            ("certify", "--c", "3"),
+            ("render", "--obj", os.devnull),
+        ]
+    ),
     doc=_presentation_docs() | _polygon_docs() | _ANY_JSON,
 )
-@example(command="invariant", doc={"sticks": 5})
+@example(command=("invariant",), doc={"sticks": 5})
 def test_any_json_input_gets_a_documented_exit_code(command, doc):
-    code, _, err = run([command, "-"], stdin_text=json.dumps(doc))
+    code, _, err = run([*command, "-"], stdin_text=json.dumps(doc))
     assert code in {0, 2, 3, 4, 64, 70}
     assert "Traceback" not in err

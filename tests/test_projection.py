@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import latticeknot as lk
 from latticeknot import LatticePolygon, LatticeStick
-from latticeknot.diagram import segment_crossings
+from latticeknot.certify import build_branch
+from latticeknot.diagram import _assemble, _cross2, _try_projection, segment_crossings
 
 
 def unit_square():
@@ -102,3 +103,97 @@ class TestProjectPolygon:
             assert exc.violations
         else:
             raise AssertionError("invalid polygon accepted")
+
+
+def reference_try_projection(verts, B, fired):
+    """The three-pass genericity test that one crossing scan replaced.
+
+    Same checks in the same order as before the simplification; fired counts
+    the check that rejected B first ("images", "vertex_on_edge", "overlap"
+    or "scan").
+    """
+    m = len(verts)
+    pts = [(B * p[0] - p[1], B * B * p[0] - p[2]) for p in verts]
+    if len(set(pts)) != m:
+        fired["images"] += 1
+        return None
+
+    seg = [(pts[k], pts[(k + 1) % m]) for k in range(m)]
+    dirs = [(b[0] - a[0], b[1] - a[1]) for a, b in seg]
+
+    for v in range(m):
+        p = pts[v]
+        for s in range(m):
+            if s == v or (s + 1) % m == v:
+                continue
+            a, b = seg[s]
+            d = dirs[s]
+            if _cross2(d, (p[0] - a[0], p[1] - a[1])) != 0:
+                continue
+            t_num = (p[0] - a[0]) * d[0] + (p[1] - a[1]) * d[1]
+            t_den = d[0] * d[0] + d[1] * d[1]
+            if 0 < t_num < t_den:
+                fired["vertex_on_edge"] += 1
+                return None
+
+    for s1 in range(m):
+        for s2 in range(s1 + 1, m):
+            d1, d2 = dirs[s1], dirs[s2]
+            if _cross2(d1, d2) != 0:
+                continue
+            a1, b1 = seg[s1]
+            a2, b2 = seg[s2]
+            if _cross2(d1, (a2[0] - a1[0], a2[1] - a1[1])) != 0:
+                continue
+            lo1, hi1 = sorted((a1[0] * d1[0] + a1[1] * d1[1], b1[0] * d1[0] + b1[1] * d1[1]))
+            lo2, hi2 = sorted((a2[0] * d1[0] + a2[1] * d1[1], b2[0] * d1[0] + b2[1] * d1[1]))
+            if max(lo1, lo2) < min(hi1, hi2):
+                fired["overlap"] += 1
+                return None
+
+    hits = {k: [] for k in range(m)}
+    seen_points = set()
+    signs = {}
+    depths = [p[0] + B * p[1] + B * B * p[2] for p in verts]
+    for s1, s2, t1, t2, den in segment_crossings(pts):
+        if not (0 < t1 < 1 and 0 < t2 < 1):
+            fired["scan"] += 1
+            return None
+        a1, d1 = pts[s1], dirs[s1]
+        pt = (a1[0] + t1 * d1[0], a1[1] + t1 * d1[1])
+        if pt in seen_points:
+            fired["scan"] += 1
+            return None
+        seen_points.add(pt)
+        here = depths[s1] + t1 * (depths[(s1 + 1) % m] - depths[s1])
+        there = depths[s2] + t2 * (depths[(s2 + 1) % m] - depths[s2])
+        assert here != there
+        s1_over = here > there
+        sign = 1 if den > 0 else -1
+        signs[s1, s2] = -sign if s1_over else sign
+        hits[s1].append((t1, s2, s1_over))
+        hits[s2].append((t2, s1, not s1_over))
+
+    events = []
+    for s in range(m):
+        for _, other, over in sorted(hits[s]):
+            events.append(((min(s, other), max(s, other)), over))
+    return _assemble(events, signs)
+
+
+def test_one_scan_decides_like_the_three_pass_reference():
+    """Every B from 1 to M+5 gets the reference's verdict and diagram."""
+    rng = random.Random(5005)
+    fired = dict.fromkeys(("images", "vertex_on_edge", "overlap", "scan"), 0)
+    cases = 0
+    for a in range(5, 13):
+        P = lk.random_presentation(a, rng)
+        basic = lk.construct_basic(P)
+        for poly in (basic, lk.reduce_ends(basic, P), build_branch(P, "auto")[1]):
+            verts = poly.vertices()
+            M = max(abs(c) for v in verts for c in v)
+            for B in range(1, M + 6):
+                assert _try_projection(verts, B) == reference_try_projection(verts, B, fired)
+                cases += 1
+    assert fired["vertex_on_edge"] > 0
+    assert sum(fired.values()) < cases  # some directions are generic
