@@ -115,16 +115,16 @@ class ConstructionCertificate:
 def build_branch(P: ArcPresentation, branch: str) -> tuple[str, LatticePolygon]:
     """Build the polygon of one construction branch; return (branch, polygon).
 
-    "auto" picks the branch the paper prescribes and requires 5 <= a <= 64:
-    "nonstar" for non-star input, "torus-star" (the reduced build) for a
-    star-shaped input in torus order, "dual-nonstar" otherwise.  "basic",
-    "reduced" and "nonstar" may also be asked for directly; "nonstar" then
-    rejects star-shaped input.  Each constructor validates its polygon and
-    checks its stick count.
+    Every branch requires 5 <= a <= 64.  "auto" picks the branch the paper
+    prescribes: "nonstar" for non-star input, "torus-star" (the reduced
+    build) for a star-shaped input in torus order, "dual-nonstar"
+    otherwise.  "basic", "reduced" and "nonstar" may also be asked for
+    directly; "nonstar" then rejects star-shaped input.  Each constructor
+    validates its polygon and checks its stick count.
     """
+    if not 5 <= P.a <= MAX_ARC_COUNT:
+        raise ArcCountOutOfRangeError(f"pipeline needs 5 <= a <= {MAX_ARC_COUNT}, got a={P.a}")
     if branch == "auto":
-        if not 5 <= P.a <= MAX_ARC_COUNT:
-            raise ArcCountOutOfRangeError(f"pipeline needs 5 <= a <= {MAX_ARC_COUNT}, got a={P.a}")
         if not is_star_shaped(P):
             branch = "nonstar"
         elif torus_order_check(P) is not None:

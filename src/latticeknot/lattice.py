@@ -1,9 +1,12 @@
 """Axis-parallel stick polygons in the cubic lattice.
 
-Builds explicit self-avoiding polygons from arc presentations: the plain
-3a construction, the two end reductions bringing it to 3a-2, and the
-flip-and-lift construction reaching 3a-4 for non-star presentations.
-All geometry is exact integer interval arithmetic.
+Builds explicit self-avoiding polygons from arc presentations.  Every
+construction is one closed cycle of corner points plus a few point moves:
+the 3a build walks the knot once; the two end reductions to 3a-2 slide
+the corners at bindings 1 and a off the diagonal; the flip-and-lift to
+3a-4 puts the page-1 arc above the diagonal and raises its three corners
+to z = lift_page.  One normaliser turns a cycle into sticks in canonical
+order, and every polygon is validated by exact integer interval arithmetic.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ class Violation:
 
 
 class SelfIntersectionError(RuntimeError):
-    """A constructed polygon failed validation; carries the violations."""
+    """A polygon failed validation; carries the violations."""
 
     def __init__(self, violations: list[Violation]):
         self.violations = violations
@@ -188,136 +191,92 @@ def require_valid(poly: LatticePolygon) -> LatticePolygon:
     return poly
 
 
-def _cyclic_order(sticks: list[LatticeStick]) -> LatticePolygon:
-    """Arrange an unordered stick set into traversal order by endpoint matching."""
-    by_point: dict[Point, list[int]] = {}
-    for idx, s in enumerate(sticks):
-        for p in s.endpoints():
-            by_point.setdefault(p, []).append(idx)
-    bad = {p: ids for p, ids in by_point.items() if len(ids) != 2}
-    if bad:
-        raise SelfIntersectionError(
-            [Violation("open_chain", tuple(ids), f"endpoint {p} touches {len(ids)} sticks")
-             for p, ids in sorted(bad.items())]
-        )
-
-    start = min(range(len(sticks)), key=lambda k: (sticks[k].axis, sticks[k].c1, sticks[k].c2, sticks[k].lo))
-    order = [start]
-    cursor = sticks[start].endpoints()[1]
-    used = {start}
-    while len(order) < len(sticks):
-        s1, s2 = by_point[cursor]
-        if order[-1] == s1:
-            nxt = s2
-        elif order[-1] == s2:
-            nxt = s1
-        else:
-            raise InternalInvariantError(f"walk lost at {cursor}")
-        if nxt in used:
-            raise SelfIntersectionError(
-                [Violation("open_chain", (order[-1], nxt), "stick chain closed early")]
-            )
-        order.append(nxt)
-        used.add(nxt)
-        e1, e2 = sticks[nxt].endpoints()
-        cursor = e2 if e1 == cursor else e1
-    if cursor != sticks[start].endpoints()[0]:
-        raise SelfIntersectionError(
-            [Violation("open_chain", (order[-1], start), "stick chain does not close")]
-        )
-    return LatticePolygon(tuple(sticks[k] for k in order))
+def _step(p: Point, q: Point) -> tuple[int, ...]:
+    """Sign of q - p in each coordinate."""
+    return tuple((v > u) - (v < u) for u, v in zip(p, q))
 
 
-def _merge_collinear(poly: LatticePolygon) -> LatticePolygon:
-    """Fuse cyclically consecutive same-axis sticks into single sticks."""
-    sticks = list(poly.sticks)
-    changed = True
-    while changed and len(sticks) > 2:
-        changed = False
-        m = len(sticks)
-        for k in range(m):
-            s, t = sticks[k], sticks[(k + 1) % m]
-            if s.axis == t.axis and (s.c1, s.c2) == (t.c1, t.c2):
-                if max(s.lo, t.lo) != min(s.hi, t.hi):
-                    raise InternalInvariantError("same-axis neighbours are not end-to-end")
-                merged = LatticeStick(s.axis, min(s.lo, t.lo), max(s.hi, t.hi), s.c1, s.c2)
-                if (k + 1) % m == 0:
-                    sticks = [merged] + sticks[1:k]
-                else:
-                    sticks = sticks[:k] + [merged] + sticks[k + 2:]
-                changed = True
-                break
-    return LatticePolygon(tuple(sticks))
+def _polygon(cycle: list[Point]) -> LatticePolygon:
+    """The sticks through a closed cycle of corner points, in canonical order.
+
+    Repeated points and straight-through corners are dropped.  A reversal,
+    where the path turns back along its own axis, is kept, so validation
+    still rejects a fold.  The sticks start at the one with the least
+    (axis, c1, c2, lo) and run so that this stick goes from lo to hi.
+    """
+    pts = [p for k, p in enumerate(cycle) if p != cycle[k - 1]]
+    n = len(pts)
+    pts = [p for k, p in enumerate(pts) if _step(pts[k - 1], p) != _step(p, pts[(k + 1) % n])]
+    if len(pts) < 2:
+        raise InternalInvariantError("corner cycle collapses to a point")
+
+    sticks = []
+    for p, q in zip(pts, pts[1:] + pts[:1]):
+        axes = [d for d in range(3) if p[d] != q[d]]
+        if len(axes) != 1:
+            raise InternalInvariantError(f"corners {p} and {q} are not joined by one stick")
+        d = axes[0]
+        c1, c2 = (p[e] for e in range(3) if e != d)
+        sticks.append(LatticeStick("xyz"[d], min(p[d], q[d]), max(p[d], q[d]), c1, c2))
+
+    m = len(sticks)
+    start = min(range(m), key=lambda k: (sticks[k].axis, sticks[k].c1, sticks[k].c2, sticks[k].lo))
+    step = 1 if pts[start] == sticks[start].endpoints()[0] else -1
+    return LatticePolygon(tuple(sticks[(start + step * t) % m] for t in range(m)))
 
 
-def _basic_sticks(P: ArcPresentation, flip_page: int | None = None) -> list[LatticeStick]:
-    """Sticks of the 3a construction; one arc optionally flipped above y=x."""
-    sticks: list[LatticeStick] = []
-    for page, (i, j) in enumerate(P.arcs, start=1):
-        if page == flip_page:
-            sticks.append(LatticeStick("y", i, j, i, page))
-            sticks.append(LatticeStick("x", i, j, j, page))
-        else:
-            sticks.append(LatticeStick("x", i, j, i, page))
-            sticks.append(LatticeStick("y", i, j, j, page))
-    for b in range(1, P.a + 1):
-        k1, k2 = P.pages_at(b)
-        sticks.append(LatticeStick("z", k1, k2, b, b))
-    return sticks
-
-
-def _replace(sticks: list[LatticeStick], old: LatticeStick, new: LatticeStick | None) -> None:
+def _checked(cycle: list[Point], sticks: int | None = None) -> LatticePolygon:
+    """The validated polygon of a constructed cycle; any failure is a bug."""
+    poly = _polygon(cycle)
     try:
-        idx = sticks.index(old)
-    except ValueError:
-        raise InternalInvariantError(f"expected stick {old} not present") from None
-    if new is None:
-        del sticks[idx]
-    else:
-        sticks[idx] = new
+        require_valid(poly)
+    except SelfIntersectionError as exc:
+        raise InternalInvariantError(f"constructed polygon is invalid: {exc}") from exc
+    if sticks is not None and len(poly.sticks) != sticks:
+        raise InternalInvariantError(
+            f"construction produced {len(poly.sticks)} sticks, expected {sticks}"
+        )
+    return poly
 
 
-def _end_reductions(sticks: list[LatticeStick], P: ArcPresentation) -> None:
-    """Apply the y-level-1 and x-level-a reductions in place (-2 sticks)."""
+def _basic_cycle(P: ArcPresentation, flip_page: int | None = None) -> list[Point]:
+    """Corners of the 3a construction, in one walk along the knot.
+
+    Each binding visit adds (b, b, k) for the page it arrives on and for
+    the page it leaves on; the arc {i < j} at page k adds the corner
+    (j, i, k) below the diagonal, or (i, j, k) above it when k == flip_page.
+    """
+    cycle: list[Point] = []
+    b, page = 1, P.pages_at(1)[0]
+    for _ in range(P.a):
+        k1, k2 = P.pages_at(b)
+        nxt = k2 if page == k1 else k1
+        i, j = P.arcs[nxt - 1]
+        corner = (i, j, nxt) if nxt == flip_page else (j, i, nxt)
+        cycle += [(b, b, page), (b, b, nxt), corner]
+        b, page = (j if b == i else i), nxt
+    return cycle
+
+
+def _end_moves(P: ArcPresentation) -> dict[Point, Point]:
+    """Corner moves of the two end reductions (-2 sticks).
+
+    Both arcs at binding 1 leave along x at y=1.  Its diagonal corners
+    (1, 1, k) slide to x = i_short, the nearer far end, so the shorter
+    x-stick vanishes and the z-stick moves off the diagonal.  Binding a
+    mirrors this along y at x=a: (a, a, l) slides to y = j_short.
+    """
     a = P.a
-
-    # binding index 1: two x-sticks at y=1; drop the shorter, reroute the z-stick
-    (i1, i2), (k1, k2) = P.far_ends(1), P.pages_at(1)
-    pages1 = dict(zip((i1, i2), (k1, k2)))
+    i1, i2 = P.far_ends(1)
     if i1 == i2:
         raise InternalInvariantError("both arcs at binding 1 have the same far end")
-    i_short, i_long = min(i1, i2), max(i1, i2)
-    k_short, k_long = pages1[i_short], pages1[i_long]
-    _replace(sticks, LatticeStick("x", 1, i_short, 1, k_short), None)
-    _replace(
-        sticks,
-        LatticeStick("x", 1, i_long, 1, k_long),
-        LatticeStick("x", i_short, i_long, 1, k_long),
-    )
-    _replace(
-        sticks,
-        LatticeStick("z", min(k1, k2), max(k1, k2), 1, 1),
-        LatticeStick("z", min(k1, k2), max(k1, k2), i_short, 1),
-    )
-
-    # binding index a: two y-sticks at x=a; mirrored reduction
-    (j1, j2), (l1, l2) = P.far_ends(a), P.pages_at(a)
-    pages_a = dict(zip((j1, j2), (l1, l2)))
+    j1, j2 = P.far_ends(a)
     if j1 == j2:
         raise InternalInvariantError("both arcs at binding a have the same far end")
-    j_long, j_short = min(j1, j2), max(j1, j2)  # larger lower endpoint = shorter stick
-    l_long, l_short = pages_a[j_long], pages_a[j_short]
-    _replace(sticks, LatticeStick("y", j_short, a, a, l_short), None)
-    _replace(
-        sticks,
-        LatticeStick("y", j_long, a, a, l_long),
-        LatticeStick("y", j_long, j_short, a, l_long),
-    )
-    _replace(
-        sticks,
-        LatticeStick("z", min(l1, l2), max(l1, l2), a, a),
-        LatticeStick("z", min(l1, l2), max(l1, l2), a, j_short),
-    )
+    i_short, j_short = min(i1, i2), max(j1, j2)  # larger lower endpoint = shorter stick
+    moves = {(1, 1, k): (i_short, 1, k) for k in P.pages_at(1)}
+    moves.update({(a, a, l): (a, j_short, l) for l in P.pages_at(a)})
+    return moves
 
 
 def construct_basic(P: ArcPresentation) -> LatticePolygon:
@@ -328,31 +287,25 @@ def construct_basic(P: ArcPresentation) -> LatticePolygon:
     """
     if P.a < 5:
         raise ValueError(f"construction needs a >= 5, got a={P.a}")
-    poly = _cyclic_order(_basic_sticks(P))
-    require_valid(poly)
-    if len(poly.sticks) != 3 * P.a:
-        raise InternalInvariantError(f"basic construction produced {len(poly.sticks)} sticks")
-    return poly
+    return _checked(_basic_cycle(P), 3 * P.a)
 
 
 def reduce_ends(poly: LatticePolygon, P: ArcPresentation) -> LatticePolygon:
     """Apply both end reductions to the basic construction: 3a-2 sticks."""
-    sticks = list(poly.sticks)
-    if len(sticks) != 3 * P.a:
+    cycle = _basic_cycle(P)
+    if len(poly.sticks) != 3 * P.a or poly != _polygon(cycle):
         raise InternalInvariantError("reduce_ends expects the 3a-stick basic construction")
-    _end_reductions(sticks, P)
-    out = _cyclic_order(sticks)
-    require_valid(out)
-    if len(out.sticks) != 3 * P.a - 2:
-        raise InternalInvariantError(f"end reductions produced {len(out.sticks)} sticks")
-    return out
+    moves = _end_moves(P)
+    return _checked([moves.get(p, p) for p in cycle], 3 * P.a - 2)
 
 
-def _nonstar_sticks(nns: NormalizedNonStar, level: int) -> list[LatticeStick]:
-    """Reduced construction with the flipped arc placed at z-level `level`.
+def _nonstar_cycle(nns: NormalizedNonStar, level: int) -> list[Point]:
+    """Reduced construction with the page-1 arc flipped and lifted to z = level.
 
-    level 1 is the pre-lift state; level == lift_page triggers the merge of
-    the flipped arc's x-stick with the x-stick of the lift_page arc.
+    Level 1 is the pre-lift state.  The lift moves the flipped arc's three
+    corners (alpha, alpha, 1), (alpha, beta, 1) and (beta, beta, 1) up to
+    z = level; at level == lift_page the corner (beta, beta, lift_page)
+    repeats and the flipped x-stick runs straight into the lift_page arc's.
     """
     P = nns.presentation
     a = P.a
@@ -360,46 +313,15 @@ def _nonstar_sticks(nns: NormalizedNonStar, level: int) -> list[LatticeStick]:
     if not (1 < alpha < beta < a):
         raise InternalInvariantError("normalized witness out of range")
 
-    sticks = _basic_sticks(P, flip_page=1)
-    _end_reductions(sticks, P)
-
-    q_alpha = next(p for p in P.pages_at(alpha) if p != 1)
-    k_check = next(p for p in P.pages_at(beta) if p != 1)
-    if k_check != k:
-        raise InternalInvariantError(
-            f"arc ({beta},{a}) sits at page {k_check}, lift_page says {k}"
-        )
-    if q_alpha == k:
+    if not 1 < k <= a or P.arcs[k - 1] != (beta, a):
+        raise InternalInvariantError(f"arc ({beta},{a}) is not at lift_page {k}")
+    if k in P.pages_at(alpha):
         raise InternalInvariantError("both witness attachment pages coincide")
 
-    if level == 1:
-        return sticks
-
-    # move the flipped arc to z = level
-    _replace(sticks, LatticeStick("y", alpha, beta, alpha, 1),
-             LatticeStick("y", alpha, beta, alpha, level))
-    flipped_x_new = LatticeStick("x", alpha, beta, beta, level)
-    _replace(sticks, LatticeStick("x", alpha, beta, beta, 1), flipped_x_new)
-
-    # attachment z-stick at (alpha, alpha): now spans level..q_alpha
-    old = LatticeStick("z", 1, q_alpha, alpha, alpha)
-    if level == q_alpha:
-        _replace(sticks, old, None)
-    else:
-        _replace(sticks, old,
-                 LatticeStick("z", min(level, q_alpha), max(level, q_alpha), alpha, alpha))
-
-    # attachment z-stick at (beta, beta): spans level..k, gone at the top
-    old = LatticeStick("z", 1, k, beta, beta)
-    if level == k:
-        _replace(sticks, old, None)
-        # the two collinear x-sticks at y=beta, z=k fuse into one
-        _replace(sticks, flipped_x_new, None)
-        _replace(sticks, LatticeStick("x", beta, a, beta, k),
-                 LatticeStick("x", alpha, a, beta, k))
-    else:
-        _replace(sticks, old, LatticeStick("z", min(level, k), max(level, k), beta, beta))
-    return sticks
+    moves = _end_moves(P)
+    for x, y in ((alpha, alpha), (alpha, beta), (beta, beta)):
+        moves[(x, y, 1)] = (x, y, level)
+    return [moves.get(p, p) for p in _basic_cycle(P, flip_page=1)]
 
 
 def construct_nonstar(nns: NormalizedNonStar) -> LatticePolygon:
@@ -408,12 +330,7 @@ def construct_nonstar(nns: NormalizedNonStar) -> LatticePolygon:
     The lift to z = lift_page removes the z-stick at (beta, beta) and merges
     two collinear x-sticks, giving a valid polygon with exactly 3a-4 sticks.
     """
-    P = nns.presentation
-    out = _merge_collinear(_cyclic_order(_nonstar_sticks(nns, nns.lift_page)))
-    require_valid(out)
-    if len(out.sticks) != 3 * P.a - 4:
-        raise InternalInvariantError(f"non-star construction produced {len(out.sticks)} sticks")
-    return out
+    return _checked(_nonstar_cycle(nns, nns.lift_page), 3 * nns.presentation.a - 4)
 
 
 def lift_sweep(nns: NormalizedNonStar) -> list[LatticePolygon]:
@@ -424,9 +341,4 @@ def lift_sweep(nns: NormalizedNonStar) -> list[LatticePolygon]:
     the connecting z-stick degenerates away and collinear sticks fuse; each
     snapshot is a valid polygon, witnessing the free vertical slide.
     """
-    out = []
-    for level in range(1, nns.lift_page + 1):
-        poly = _merge_collinear(_cyclic_order(_nonstar_sticks(nns, level)))
-        require_valid(poly)
-        out.append(poly)
-    return out
+    return [_checked(_nonstar_cycle(nns, level)) for level in range(1, nns.lift_page + 1)]

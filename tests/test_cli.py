@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
@@ -117,6 +118,22 @@ class TestBuildInvariant:
     def test_build_nonstar_rejects_star(self, files):
         code, _, err = run(["build", "--branch", "nonstar", files["3_1"]])
         assert code == 4
+
+    @pytest.mark.parametrize("branch", ["basic", "reduced", "nonstar"])
+    def test_explicit_branch_obeys_arc_range(self, branch):
+        doc = json.dumps(lk.random_presentation(65, random.Random(65)).to_json_obj())
+        code, out, err = run(["build", "--branch", branch, "-"], stdin_text=doc)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("invalid input: pipeline needs 5 <= a <= 64, got a=65")
+
+    def test_basic_branch_at_a64_renders(self, tmp_path):
+        doc = json.dumps(lk.random_presentation(64, random.Random(64)).to_json_obj())
+        code, out, _ = run(["build", "--branch", "basic", "-"], stdin_text=doc)
+        assert code == 0
+        assert len(json.loads(out)["sticks"]) == 192
+        code, _, _ = run(["render", "--obj", str(tmp_path / "p.obj"), "-"], stdin_text=out)
+        assert code == 0
 
     def test_build_out_file_then_invariant(self, files):
         out_path = str(files["dir"] / "poly.json")
@@ -242,6 +259,41 @@ class TestInternalErrors:
         assert out == ""
         assert err.startswith("internal error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["build"], ["certify", "--c", "4"]])
+    def test_constructed_polygon_failing_validation_exit_70(self, files, monkeypatch, command):
+        import latticeknot.lattice as lattice_mod
+
+        violation = lattice_mod.Violation("overlap", (0, 5), "non-adjacent sticks share 1 points")
+        monkeypatch.setattr(lattice_mod, "validate_polygon", lambda poly: [violation])
+        code, out, err = run([*command, files["4_1"]])
+        assert code == 70
+        assert out == ""
+        assert err.startswith("internal error: constructed polygon is invalid: overlap[0, 5]: ")
+        assert "Traceback" not in err
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early is an unwritable output: exit 4."""
+
+    @pytest.mark.parametrize("command", [["dataset", "get", "7_4"], ["certify", "--c", "4", "4_1"]])
+    def test_closed_pipe_exit_4_without_traceback(self, files, command):
+        argv = [files.get(arg, arg) for arg in command]
+        src = str(Path(lk.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child writes anything
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "latticeknot.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("invalid input: cannot write <stdout>: ")
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
 
 
 class TestRender:

@@ -221,3 +221,204 @@ class TestLiftSweep:
             for poly in lk.lift_sweep(nns):
                 assert lk.validate_polygon(poly) == []
         assert exercised == 10
+
+
+# The stick-surgery builders that the corner cycles replaced, kept as the
+# reference the rewrite must reproduce stick for stick, order included.
+
+
+def reference_cyclic_order(sticks):
+    by_point = {}
+    for idx, s in enumerate(sticks):
+        for p in s.endpoints():
+            by_point.setdefault(p, []).append(idx)
+    assert all(len(ids) == 2 for ids in by_point.values())
+    start = min(range(len(sticks)), key=lambda k: (sticks[k].axis, sticks[k].c1, sticks[k].c2, sticks[k].lo))
+    order = [start]
+    cursor = sticks[start].endpoints()[1]
+    while len(order) < len(sticks):
+        s1, s2 = by_point[cursor]
+        nxt = s2 if order[-1] == s1 else s1
+        assert nxt not in order
+        order.append(nxt)
+        e1, e2 = sticks[nxt].endpoints()
+        cursor = e2 if e1 == cursor else e1
+    assert cursor == sticks[start].endpoints()[0]
+    return LatticePolygon(tuple(sticks[k] for k in order))
+
+
+def reference_merge_collinear(poly):
+    sticks = list(poly.sticks)
+    changed = True
+    while changed and len(sticks) > 2:
+        changed = False
+        m = len(sticks)
+        for k in range(m):
+            s, t = sticks[k], sticks[(k + 1) % m]
+            if s.axis == t.axis and (s.c1, s.c2) == (t.c1, t.c2):
+                assert max(s.lo, t.lo) == min(s.hi, t.hi)
+                merged = LatticeStick(s.axis, min(s.lo, t.lo), max(s.hi, t.hi), s.c1, s.c2)
+                if (k + 1) % m == 0:
+                    sticks = [merged] + sticks[1:k]
+                else:
+                    sticks = sticks[:k] + [merged] + sticks[k + 2:]
+                changed = True
+                break
+    return LatticePolygon(tuple(sticks))
+
+
+def reference_basic_sticks(P, flip_page=None):
+    sticks = []
+    for page, (i, j) in enumerate(P.arcs, start=1):
+        if page == flip_page:
+            sticks.append(LatticeStick("y", i, j, i, page))
+            sticks.append(LatticeStick("x", i, j, j, page))
+        else:
+            sticks.append(LatticeStick("x", i, j, i, page))
+            sticks.append(LatticeStick("y", i, j, j, page))
+    for b in range(1, P.a + 1):
+        k1, k2 = P.pages_at(b)
+        sticks.append(LatticeStick("z", k1, k2, b, b))
+    return sticks
+
+
+def reference_replace(sticks, old, new):
+    idx = sticks.index(old)
+    if new is None:
+        del sticks[idx]
+    else:
+        sticks[idx] = new
+
+
+def reference_end_reductions(sticks, P):
+    a = P.a
+    (i1, i2), (k1, k2) = P.far_ends(1), P.pages_at(1)
+    pages1 = dict(zip((i1, i2), (k1, k2)))
+    i_short, i_long = min(i1, i2), max(i1, i2)
+    k_short, k_long = pages1[i_short], pages1[i_long]
+    reference_replace(sticks, LatticeStick("x", 1, i_short, 1, k_short), None)
+    reference_replace(sticks, LatticeStick("x", 1, i_long, 1, k_long),
+                      LatticeStick("x", i_short, i_long, 1, k_long))
+    reference_replace(sticks, LatticeStick("z", min(k1, k2), max(k1, k2), 1, 1),
+                      LatticeStick("z", min(k1, k2), max(k1, k2), i_short, 1))
+    (j1, j2), (l1, l2) = P.far_ends(a), P.pages_at(a)
+    pages_a = dict(zip((j1, j2), (l1, l2)))
+    j_long, j_short = min(j1, j2), max(j1, j2)
+    l_long, l_short = pages_a[j_long], pages_a[j_short]
+    reference_replace(sticks, LatticeStick("y", j_short, a, a, l_short), None)
+    reference_replace(sticks, LatticeStick("y", j_long, a, a, l_long),
+                      LatticeStick("y", j_long, j_short, a, l_long))
+    reference_replace(sticks, LatticeStick("z", min(l1, l2), max(l1, l2), a, a),
+                      LatticeStick("z", min(l1, l2), max(l1, l2), a, j_short))
+
+
+def reference_nonstar_sticks(nns, level):
+    P = nns.presentation
+    a = P.a
+    alpha, beta, k = nns.alpha, nns.beta, nns.lift_page
+    sticks = reference_basic_sticks(P, flip_page=1)
+    reference_end_reductions(sticks, P)
+    q_alpha = next(p for p in P.pages_at(alpha) if p != 1)
+    if level == 1:
+        return sticks
+    reference_replace(sticks, LatticeStick("y", alpha, beta, alpha, 1),
+                      LatticeStick("y", alpha, beta, alpha, level))
+    flipped_x_new = LatticeStick("x", alpha, beta, beta, level)
+    reference_replace(sticks, LatticeStick("x", alpha, beta, beta, 1), flipped_x_new)
+    old = LatticeStick("z", 1, q_alpha, alpha, alpha)
+    if level == q_alpha:
+        reference_replace(sticks, old, None)
+    else:
+        reference_replace(sticks, old,
+                          LatticeStick("z", min(level, q_alpha), max(level, q_alpha), alpha, alpha))
+    old = LatticeStick("z", 1, k, beta, beta)
+    if level == k:
+        reference_replace(sticks, old, None)
+        reference_replace(sticks, flipped_x_new, None)
+        reference_replace(sticks, LatticeStick("x", beta, a, beta, k),
+                          LatticeStick("x", alpha, a, beta, k))
+    else:
+        reference_replace(sticks, old, LatticeStick("z", min(level, k), max(level, k), beta, beta))
+    return sticks
+
+
+def reference_basic(P):
+    return reference_cyclic_order(reference_basic_sticks(P))
+
+
+def reference_reduced(P):
+    sticks = reference_basic_sticks(P)
+    reference_end_reductions(sticks, P)
+    return reference_cyclic_order(sticks)
+
+
+def reference_nonstar(nns, level):
+    return reference_merge_collinear(reference_cyclic_order(reference_nonstar_sticks(nns, level)))
+
+
+class TestCornerCycle:
+    """The corner-cycle builders against the stick-surgery reference."""
+
+    @staticmethod
+    def presentations():
+        for a in [*range(5, 13), 16, 24, 32, 48, 64]:
+            rng = random.Random(6000 + a)
+            yield from (lk.random_presentation(a, rng) for _ in range(4 if a <= 12 else 2))
+            if a % 2:
+                yield lk.random_star_presentation(a, rng)
+
+    def test_builds_equal_reference_sticks(self):
+        nonstar = 0
+        for P in self.presentations():
+            basic = lk.construct_basic(P)
+            assert basic.sticks == reference_basic(P).sticks
+            assert lk.reduce_ends(basic, P).sticks == reference_reduced(P).sticks
+            if lk.is_star_shaped(P):
+                continue
+            nns = normalized(P)
+            assert lk.construct_nonstar(nns).sticks == reference_nonstar(nns, nns.lift_page).sticks
+            nonstar += 1
+        assert nonstar >= 40
+
+    def test_lift_sweep_equals_reference_at_every_level(self):
+        levels = 0
+        for a in (5, 6, 7, 8, 9, 10, 11, 12, 16, 20, 24):
+            rng = random.Random(7000 + a)
+            for _ in range(2):
+                P = lk.random_presentation(a, rng)
+                if lk.is_star_shaped(P):
+                    continue
+                nns = normalized(P)
+                sweep = lk.lift_sweep(nns)
+                for level, poly in enumerate(sweep, start=1):
+                    assert poly.sticks == reference_nonstar(nns, level).sticks
+                levels += len(sweep)
+        assert levels >= 50
+
+    def test_polygon_fuses_straight_corners_in_any_rotation_or_direction(self):
+        from latticeknot.lattice import _polygon
+
+        # a 2x2 square with a repeated corner and two straight-through points
+        cycle = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 2, 0), (2, 2, 0), (1, 2, 0), (0, 2, 0)]
+        expected = _polygon([(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)])
+        assert len(expected.sticks) == 4
+        for r in range(len(cycle)):
+            assert _polygon(cycle[r:] + cycle[:r]) == expected
+            assert _polygon((cycle[r:] + cycle[:r])[::-1]) == expected
+        assert expected.sticks[0] == LatticeStick("x", 0, 2, 0, 0)
+
+    @pytest.mark.parametrize(
+        "cycle",
+        [
+            # a spike p -> q -> p off one corner of a square
+            [(0, 0, 0), (2, 0, 0), (2, 2, 0), (2, 2, 1), (2, 2, 0), (0, 2, 0)],
+            # an overshoot that doubles back along its own axis
+            [(0, 0, 0), (3, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)],
+        ],
+        ids=["spike", "overshoot"],
+    )
+    def test_reversal_is_kept_and_rejected(self, cycle):
+        from latticeknot.lattice import _checked
+
+        with pytest.raises(lk.InternalInvariantError, match="axis_repeat"):
+            _checked(cycle)
