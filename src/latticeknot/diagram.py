@@ -4,7 +4,10 @@ Diagrams come from two sources: the grid picture of an arc presentation
 (vertical strands over horizontal, the standard grid convention) and exact
 generic projections of 3-D lattice polygons.  Invariants: Alexander
 polynomial of a Wirtinger minor, the knot determinant, and an optional
-Kauffman-bracket Jones polynomial.  The Alexander determinant is one
+Kauffman-bracket Jones polynomial.  Reidemeister simplification and the
+Wirtinger minor read only the Gauss word (the passages in traversal order)
+and the crossing signs; faces() walks the planar map but is not on the
+certify path.  The Alexander determinant is one
 fraction-free Bareiss elimination over Z after Kronecker substitution: the
 Laurent entries are packed into integers at t = 2**bits, where bits comes
 from a Hadamard bound on the determinant's coefficients, and the
@@ -359,52 +362,48 @@ def faces(d: PlanarDiagram) -> list[list[tuple[int, int]]]:
 
 
 def simplify_diagram(d: PlanarDiagram) -> PlanarDiagram:
-    """Remove kinks and reducible bigon pairs until none remain.
+    """Remove kinks and reducible bigons, reading only the Gauss word.
 
-    Kinks are crossings passed twice in a row; bigons must be genuine faces
-    with one strand over at both corners and the other under at both.  Both
-    moves preserve the knot type.
+    The word is the passages (crossing, passes_over) in traversal order;
+    the edge after passage j joins it to passage j+1, cyclically.  A kink
+    is a crossing whose two passages are cyclically consecutive: the edge
+    between them is a loop with no crossing on it (Reidemeister I).  All
+    kinks go first, and again after every other move.
+
+    A reducible bigon is a pair of consecutive passages j, j+1 of distinct
+    crossings k1, k2 with the same role whose other passages are cyclically
+    consecutive too.  The two edges joining k1 and k2 then form a closed
+    curve with no crossing on it.  At each corner that curve turns from one
+    strand to the other, so the two strand ends it leaves there lie in one
+    angle, on one side.  The rest of the knot joins k1 to k2 off the curve,
+    so all of it lies on that side; the other side is an empty face, and as
+    the roles are equal one strand is over at both of its corners
+    (Reidemeister II).  The first such pair in passage order goes, and the
+    search starts again.  The diagram is assembled once, at the end.
     """
     events = [(ci, role == "O") for ci, role in d.gauss]
-    signs = {ci: c.sign for ci, c in enumerate(d.crossings)}
-
-    while True:
-        total = len(events)
-        if total == 0:
-            break
-        # kinks: the same crossing twice in cyclically consecutive events
-        kink = None
-        for j in range(total):
-            if events[j][0] == events[(j + 1) % total][0]:
-                kink = events[j][0]
-                break
-        if kink is not None:
-            events = [ev for ev in events if ev[0] != kink]
-            del signs[kink]
+    while events:
+        kinks = {ci for j, (ci, _) in enumerate(events) if events[j - 1][0] == ci}
+        if kinks:
+            events = [ev for ev in events if ev[0] not in kinks]
             continue
-
-        current = _assemble(events, signs)
-        reducible = None
-        old_ids = [cid for cid in dict.fromkeys(cid for cid, _ in events)]
-        for face in faces(current):
-            if len(face) != 2:
-                continue
-            (c1, s1), (c2, s2) = face
-            if c1 == c2:
-                continue
-            # slot parity is the role (even under); the face walk joins slot s1
-            # of c1 to slot s2-1 of c2 and s2 to s1-1 by an edge, so differing
-            # parities put one strand over at both corners, the other under
-            if s1 % 2 == s2 % 2:
-                continue
-            reducible = (old_ids[c1], old_ids[c2])
+        total = len(events)
+        # sum of a crossing's two positions: position j's partner is spans[ci] - j
+        spans: dict[int, int] = {}
+        for j, (ci, _) in enumerate(events):
+            spans[ci] = spans.get(ci, 0) + j
+        bigon = None
+        for j, (k1, over1) in enumerate(events):
+            j2 = (j + 1) % total
+            k2, over2 = events[j2]
+            gap = (spans[k1] - j) - (spans[k2] - j2)
+            if k1 != k2 and over1 == over2 and gap % total in (1, total - 1):
+                bigon = (k1, k2)
+                break
+        if bigon is None:
             break
-        if reducible is None:
-            break
-        events = [ev for ev in events if ev[0] not in reducible]
-        for cid in reducible:
-            del signs[cid]
-    return _assemble(events, signs)
+        events = [ev for ev in events if ev[0] not in bigon]
+    return _assemble(events, {ci: c.sign for ci, c in enumerate(d.crossings)})
 
 
 # ---------------------------------------------------------------------------
@@ -489,49 +488,30 @@ def _bareiss_det(mat: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
     return LaurentPolynomial(coeffs)
 
 
-def _arc_of_edge(d: PlanarDiagram) -> dict[int, int]:
-    """Wirtinger arc id (1..n) for each edge; arcs break at under passages."""
-    n = d.n
-    label = {}
-    cur = 0
-    for j, (_, role) in enumerate(d.gauss, start=1):
-        if role == "U":
-            cur += 1
-        label[j] = cur
-    for j in label:
-        if label[j] == 0:
-            label[j] = n
-    return label
-
-
 def _wirtinger_minor(d: PlanarDiagram) -> list[list[LaurentPolynomial]]:
     """Wirtinger matrix of a diagram with n >= 2 crossings, last row and column dropped.
 
-    The matrix row of a positive crossing puts 1-t on the over arc, t on
-    the incoming under arc and -1 on the outgoing one; negative rows use
-    the inverse relation (scaled by t to stay integral).
+    One walk over the Gauss word.  Arcs break at under passages: arc k
+    (0-based) starts after the (k+1)-th one, so the edges before the first
+    under passage close up with the last arc and the counter starts at n-1.
+    Row r is crossing r's relation.  A positive crossing puts 1-t on the
+    over arc, t on the incoming under arc and -1 on the outgoing one;
+    negative rows use the inverse relation (scaled by t to stay integral).
     """
     n = d.n
-    arc = _arc_of_edge(d)
     one = LaurentPolynomial.one()
     t = LaurentPolynomial.t_power(1)
-    rows: list[list[LaurentPolynomial]] = [
-        [LaurentPolynomial.zero() for _ in range(n)] for _ in range(n)
-    ]
-    for r, c in enumerate(d.crossings):
-        o = arc[c.over_in] - 1
-        if arc[c.over_out] - 1 != o:
-            raise InternalInvariantError("over passage splits a Wirtinger arc")
-        ui = arc[c.under_in] - 1
-        uo = arc[c.under_out] - 1
-        if c.sign > 0:
-            rows[r][o] = rows[r][o] + (one - t)
-            rows[r][ui] = rows[r][ui] + t
-            rows[r][uo] = rows[r][uo] - one
+    rows = [[LaurentPolynomial.zero()] * n for _ in range(n)]
+    arc = n - 1
+    for ci, role in d.gauss:
+        row = rows[ci]
+        positive = d.crossings[ci].sign > 0
+        if role == "O":
+            row[arc] = row[arc] + (one - t if positive else t - one)
         else:
-            rows[r][o] = rows[r][o] + (t - one)
-            rows[r][ui] = rows[r][ui] + one
-            rows[r][uo] = rows[r][uo] - t
+            row[arc] = row[arc] + (t if positive else one)
+            arc = (arc + 1) % n
+            row[arc] = row[arc] - (one if positive else t)
     return [row[: n - 1] for row in rows[: n - 1]]
 
 

@@ -72,8 +72,15 @@ def certificate_from_obj(obj) -> ConstructionCertificate:
 
 
 def detect_input(obj):
-    """Parse a JSON object as a presentation or a polygon, whichever fits."""
+    """Parse a JSON object as a presentation or a polygon, whichever fits.
+
+    A presentation may have at most MAX_ARC_COUNT arcs, the pipeline's
+    range, since its diagram goes on to the Alexander stage.
+    """
     if isinstance(obj, dict) and "arcs" in obj:
+        arcs = obj["arcs"]
+        if isinstance(arcs, list) and len(arcs) > MAX_ARC_COUNT:
+            raise ValueError(f"a presentation may have at most {MAX_ARC_COUNT} arcs, got {len(arcs)}")
         return presentation_from_obj(obj)
     if isinstance(obj, dict) and "sticks" in obj:
         return polygon_from_obj(obj)

@@ -361,6 +361,20 @@ class TestPolygonSizeBound:
         assert jsonio.polygon_from_obj(poly.to_json_obj()) == poly
 
 
+class TestPresentationSizeBound:
+    def test_invariant_refuses_65_arcs_exit_4(self):
+        P = lk.random_presentation(65, random.Random(65))
+        doc = json.dumps({"arcs": [list(pair) for pair in P.arcs]})
+        code, out, err = run(["invariant", "-"], stdin_text=doc)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("invalid input: a presentation may have at most 64 arcs, got 65")
+        assert "Traceback" not in err
+        # the commands that only read presentations keep accepting any a >= 2
+        code, out, _ = run(["validate", "-"], stdin_text=doc)
+        assert code == 0
+
+
 class TestDatasetCommands:
     def test_list(self):
         code, out, _ = run(["dataset", "list"])
