@@ -253,9 +253,10 @@ def project_polygon(poly: LatticePolygon) -> PlanarDiagram:
 
     M is the largest coordinate magnitude.  Genericity is decided with
     exact integer and rational arithmetic: distinct vertex images, then one
-    segment_crossings scan that rejects triple points and any contact at an
-    edge's end, which covers vertices on edges and collinear overlaps since
-    consecutive sticks never project to parallel edges.  Over/under comes
+    segment_crossings scan that rejects any contact at an edge's end, which
+    covers vertices on edges and collinear overlaps since consecutive sticks
+    never project to parallel edges, and last a triple point, seen as two
+    equal parameters in one segment's sorted hits.  Over/under comes
     from exact depth along the projection direction (larger depth is nearer
     the viewer).
     """
@@ -289,17 +290,11 @@ def _try_projection(verts: list[tuple[int, int, int]], B: int) -> PlanarDiagram 
     # or 1, and a collinear overlap puts a vertex inside an edge or repeats a
     # vertex image.  Equal depths would be one 3-D point on two sticks.
     hits: dict[int, list[tuple[Fraction, int, bool]]] = {k: [] for k in range(m)}
-    seen_points: set[tuple[Fraction, Fraction]] = set()
     signs: dict[tuple[int, int], int] = {}
     depths = [depth(v) for v in verts]
     for s1, s2, t1, t2, den in segment_crossings(pts):
         if not (0 < t1 < 1 and 0 < t2 < 1):
             return None  # a vertex on another edge, or a collinear overlap
-        (x1, y1), (x2, y2) = pts[s1], pts[(s1 + 1) % m]
-        pt = (x1 + t1 * (x2 - x1), y1 + t1 * (y2 - y1))
-        if pt in seen_points:
-            return None  # triple point
-        seen_points.add(pt)
         here = depths[s1] + t1 * (depths[(s1 + 1) % m] - depths[s1])
         there = depths[s2] + t2 * (depths[(s2 + 1) % m] - depths[s2])
         if here == there:
@@ -311,10 +306,15 @@ def _try_projection(verts: list[tuple[int, int, int]], B: int) -> PlanarDiagram 
         hits[s1].append((t1, s2, s1_over))
         hits[s2].append((t2, s1, not s1_over))
 
+    # a triple point shows as two equal parameters on one segment: with no
+    # contact at an edge's end, three edges through one point are pairwise
+    # non-adjacent and non-parallel, so each is hit by the other two there
     events: list[tuple[object, bool]] = []
     for s in range(m):
-        for _, other, over in sorted(hits[s]):
-            events.append(((min(s, other), max(s, other)), over))
+        row = sorted(hits[s])
+        if any(u[0] == v[0] for u, v in zip(row, row[1:])):
+            return None  # triple point
+        events += [((min(s, other), max(s, other)), over) for _, other, over in row]
     return _assemble(events, signs)
 
 

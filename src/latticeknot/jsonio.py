@@ -15,6 +15,9 @@ from .lattice import FIXED_COORDS, LatticePolygon, LatticeStick
 # the basic construction's size at a = MAX_ARC_COUNT, the largest polygon
 # built here; bounds the quadratic validation of polygons read from JSON
 MAX_STICKS = 3 * MAX_ARC_COUNT
+# constructions use coordinates 1..64; this bound keeps isometric screen
+# coordinates below 2**46, where a double still resolves the SVG's hundredths
+MAX_COORD = 2**40
 
 
 def canonical_dumps(obj) -> str:
@@ -41,6 +44,8 @@ def polygon_from_obj(obj) -> LatticePolygon:
             coords = (lo, hi, raw["fixed"][n1], raw["fixed"][n2])
             if not all(type(v) is int for v in coords):
                 raise ValueError("coordinates must be integers")
+            if any(abs(v) > MAX_COORD for v in coords):
+                raise ValueError(f"coordinates must have magnitude at most {MAX_COORD}")
             sticks.append(LatticeStick(axis, *coords))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"stick {k} is malformed: {exc}") from exc

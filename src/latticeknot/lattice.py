@@ -113,10 +113,10 @@ def stick_count(poly: LatticePolygon) -> int:
     return len(poly.sticks)
 
 
-def _overlap_points(s: LatticeStick, t: LatticeStick) -> int:
-    """Number of lattice points shared by two sticks (exact, O(1))."""
+def _overlap_points(box1: tuple, box2: tuple) -> int:
+    """Number of lattice points in both of two ranges() boxes (exact, O(1))."""
     total = 1
-    for (lo1, hi1), (lo2, hi2) in zip(s.ranges(), t.ranges()):
+    for (lo1, hi1), (lo2, hi2) in zip(box1, box2):
         lo, hi = max(lo1, lo2), min(hi1, hi2)
         if lo > hi:
             return 0
@@ -125,7 +125,16 @@ def _overlap_points(s: LatticeStick, t: LatticeStick) -> int:
 
 
 def validate_polygon(poly: LatticePolygon) -> list[Violation]:
-    """Check every polygon invariant; an empty list means the polygon is valid."""
+    """Check every polygon invariant; an empty list means the polygon is valid.
+
+    Two passes.  Consecutive sticks must lie on different axes and share
+    exactly one endpoint, the test vertices() makes; for perpendicular
+    sticks that is the same as meeting in one point that ends both.
+    Non-adjacent sticks must share no lattice point.  A stick that meets
+    both neighbours at one point p needs no check of its own: its two
+    neighbours both contain p and, for m >= 4, are not adjacent, so the
+    second pass reports them as an overlap.
+    """
     sticks = poly.sticks
     m = len(sticks)
     violations: list[Violation] = []
@@ -133,49 +142,26 @@ def validate_polygon(poly: LatticePolygon) -> list[Violation]:
         violations.append(Violation("too_few_sticks", tuple(range(m)), f"{m} sticks cannot close"))
         return violations
 
-    shared_with_next: list[Point | None] = [None] * m
     for k in range(m):
         s, t = sticks[k], sticks[(k + 1) % m]
         if s.axis == t.axis:
             violations.append(
                 Violation("axis_repeat", (k, (k + 1) % m), f"consecutive sticks both on {s.axis}")
             )
-        common = _overlap_points(s, t)
+        common = len(set(s.endpoints()) & set(t.endpoints()))
         if common != 1:
             violations.append(
                 Violation(
                     "corner",
                     (k, (k + 1) % m),
-                    f"consecutive sticks share {common} points, expected exactly 1",
+                    f"consecutive sticks share {common} endpoints, expected exactly 1",
                 )
             )
-            continue
-        shared = set(s.endpoints()) & set(t.endpoints())
-        if len(shared) != 1:
-            violations.append(
-                Violation(
-                    "corner",
-                    (k, (k + 1) % m),
-                    "shared point is not an endpoint of both sticks",
-                )
-            )
-        else:
-            shared_with_next[k] = shared.pop()
 
-    for k in range(m):
-        p_prev = shared_with_next[(k - 1) % m]
-        p_next = shared_with_next[k]
-        if p_prev is not None and p_next is not None and p_prev == p_next:
-            violations.append(
-                Violation("open_chain", ((k - 1) % m, k, (k + 1) % m),
-                          f"stick {k} meets both neighbours at {p_prev}")
-            )
-
+    boxes = [s.ranges() for s in sticks]
     for i in range(m):
-        for j in range(i + 1, m):
-            if j == i + 1 or (i == 0 and j == m - 1):
-                continue
-            common = _overlap_points(sticks[i], sticks[j])
+        for j in range(i + 2, m if i else m - 1):
+            common = _overlap_points(boxes[i], boxes[j])
             if common:
                 violations.append(
                     Violation("overlap", (i, j), f"non-adjacent sticks share {common} points")

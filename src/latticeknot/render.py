@@ -57,28 +57,18 @@ def render_svg(poly: LatticePolygon) -> str:
     lines = []
     for k in range(m):
         (x1, y1), (x2, y2) = segs[k]
-        pieces = [(Fraction(0), Fraction(1))]
-        for lo, hi in sorted(cuts[k]):
-            nxt = []
-            for plo, phi in pieces:
-                if hi <= plo or lo >= phi:
-                    nxt.append((plo, phi))
-                    continue
-                if plo < lo:
-                    nxt.append((plo, lo))
-                if hi < phi:
-                    nxt.append((hi, phi))
-            pieces = nxt
-        for plo, phi in pieces:
-            if plo >= phi:
-                continue
-            ax = float(x1 + plo * (x2 - x1))
-            ay = float(y1 + plo * (y2 - y1))
-            bx = float(x1 + phi * (x2 - x1))
-            by = float(y1 + phi * (y2 - y1))
-            lines.append(
-                f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" y2="{by:.2f}"/>'
-            )
+        # one sweep over the sorted cuts; the empty cut at 1 draws the tail
+        start = Fraction(0)
+        for lo, hi in sorted(cuts[k]) + [(Fraction(1), Fraction(1))]:
+            if lo > start:
+                ax = float(x1 + start * (x2 - x1))
+                ay = float(y1 + start * (y2 - y1))
+                bx = float(x1 + lo * (x2 - x1))
+                by = float(y1 + lo * (y2 - y1))
+                lines.append(
+                    f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" y2="{by:.2f}"/>'
+                )
+            start = max(start, hi)
 
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]

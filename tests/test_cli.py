@@ -375,6 +375,37 @@ class TestPresentationSizeBound:
         assert code == 0
 
 
+def _far_square(x_max):
+    """A 4-stick rectangle from x = 0 to x = x_max, one unit wide in y."""
+    return {
+        "sticks": [
+            {"axis": "x", "range": [0, x_max], "fixed": {"y": 0, "z": 0}},
+            {"axis": "y", "range": [0, 1], "fixed": {"x": x_max, "z": 0}},
+            {"axis": "x", "range": [0, x_max], "fixed": {"y": 1, "z": 0}},
+            {"axis": "y", "range": [0, 1], "fixed": {"x": 0, "z": 0}},
+        ]
+    }
+
+
+class TestCoordinateBound:
+    def test_render_svg_refuses_far_coordinates_exit_4(self):
+        doc = json.dumps(_far_square(10**400))
+        code, out, err = run(["render", "--svg", os.devnull, "-"], stdin_text=doc)
+        assert code == 4
+        assert out == ""
+        assert err.startswith(
+            "invalid input: stick 0 is malformed: coordinates must have magnitude at most 1099511627776"
+        )
+        assert "Traceback" not in err
+
+    def test_largest_coordinate_accepted(self, tmp_path):
+        svg = tmp_path / "far.svg"
+        doc = json.dumps(_far_square(2**40))
+        code, _, _ = run(["render", "--svg", str(svg), "-"], stdin_text=doc)
+        assert code == 0
+        assert 'x2="32985348833280.00"' in svg.read_text()  # 30 * 2**40, to the hundredth
+
+
 class TestDatasetCommands:
     def test_list(self):
         code, out, _ = run(["dataset", "list"])
@@ -504,11 +535,13 @@ def _polygon_docs(draw):
             ("rotate", "--pages", "1"),
             ("certify", "--c", "3"),
             ("render", "--obj", os.devnull),
+            ("render", "--svg", os.devnull),
         ]
     ),
     doc=_presentation_docs() | _polygon_docs() | _ANY_JSON,
 )
 @example(command=("invariant",), doc={"sticks": 5})
+@example(command=("render", "--svg", os.devnull), doc=_far_square(10**400))
 def test_any_json_input_gets_a_documented_exit_code(command, doc):
     code, _, err = run([*command, "-"], stdin_text=json.dumps(doc))
     assert code in {0, 2, 3, 4, 64, 70}

@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latticeknot as lk
 from latticeknot import LatticePolygon, LatticeStick
+from latticeknot.lattice import Violation, require_valid
 
 
 def unit_square():
@@ -422,3 +424,157 @@ class TestCornerCycle:
 
         with pytest.raises(lk.InternalInvariantError, match="axis_repeat"):
             _checked(cycle)
+
+
+def reference_overlap_points(s, t):
+    total = 1
+    for (lo1, hi1), (lo2, hi2) in zip(s.ranges(), t.ranges()):
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if lo > hi:
+            return 0
+        total *= hi - lo + 1
+    return total
+
+
+def reference_validate_polygon(poly):
+    """The three-pass validator that one consecutive and one non-adjacent pass replaced."""
+    sticks = poly.sticks
+    m = len(sticks)
+    violations = []
+    if m < 4:
+        violations.append(Violation("too_few_sticks", tuple(range(m)), f"{m} sticks cannot close"))
+        return violations
+
+    shared_with_next = [None] * m
+    for k in range(m):
+        s, t = sticks[k], sticks[(k + 1) % m]
+        if s.axis == t.axis:
+            violations.append(
+                Violation("axis_repeat", (k, (k + 1) % m), f"consecutive sticks both on {s.axis}")
+            )
+        common = reference_overlap_points(s, t)
+        if common != 1:
+            violations.append(
+                Violation(
+                    "corner",
+                    (k, (k + 1) % m),
+                    f"consecutive sticks share {common} points, expected exactly 1",
+                )
+            )
+            continue
+        shared = set(s.endpoints()) & set(t.endpoints())
+        if len(shared) != 1:
+            violations.append(
+                Violation("corner", (k, (k + 1) % m), "shared point is not an endpoint of both sticks")
+            )
+        else:
+            shared_with_next[k] = shared.pop()
+
+    for k in range(m):
+        p_prev = shared_with_next[(k - 1) % m]
+        p_next = shared_with_next[k]
+        if p_prev is not None and p_next is not None and p_prev == p_next:
+            violations.append(
+                Violation("open_chain", ((k - 1) % m, k, (k + 1) % m),
+                          f"stick {k} meets both neighbours at {p_prev}")
+            )
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if j == i + 1 or (i == 0 and j == m - 1):
+                continue
+            common = reference_overlap_points(sticks[i], sticks[j])
+            if common:
+                violations.append(
+                    Violation("overlap", (i, j), f"non-adjacent sticks share {common} points")
+                )
+    return violations
+
+
+def random_closed_walk(rng, box=3):
+    """Sticks of a closed rectilinear walk in [0, box]^3, in walk order.
+
+    Folds, overlaps and straight-through corners are all allowed, so the
+    walk may break any polygon invariant.  One time in four a spike goes in
+    at a corner: a stick that has the corner as an endpoint and sits
+    between the two sticks that meet there.
+    """
+    start = cur = tuple(rng.randint(0, box) for _ in range(3))
+    corners = [start]
+    for _ in range(rng.randint(2, 10)):
+        d = rng.randrange(3)
+        cur = cur[:d] + (rng.choice([v for v in range(box + 1) if v != cur[d]]),) + cur[d + 1:]
+        corners.append(cur)
+    for d in rng.sample(range(3), 3):
+        if cur[d] != start[d]:
+            cur = cur[:d] + (start[d],) + cur[d + 1:]
+            corners.append(cur)
+    corners.pop()  # back at start
+    sticks = []
+    for p, q in zip(corners, corners[1:] + corners[:1]):
+        d = next(e for e in range(3) if p[e] != q[e])
+        c1, c2 = (p[e] for e in range(3) if e != d)
+        sticks.append(LatticeStick("xyz"[d], min(p[d], q[d]), max(p[d], q[d]), c1, c2))
+    if rng.random() < 0.25:
+        k = rng.randrange(len(corners))
+        p, d = corners[k], rng.randrange(3)
+        c1, c2 = (p[e] for e in range(3) if e != d)
+        v = rng.choice([v for v in range(box + 1) if v != p[d]])
+        sticks.insert(k, LatticeStick("xyz"[d], min(p[d], v), max(p[d], v), c1, c2))
+    return LatticePolygon(tuple(sticks))
+
+
+def assert_validates_like_reference(poly):
+    new, old = lk.validate_polygon(poly), reference_validate_polygon(poly)
+    assert (new == []) == (old == [])
+    if not new:
+        assert len(poly.vertices()) == len(poly.sticks)
+    assert [v for v in new if v.kind == "overlap"] == [v for v in old if v.kind == "overlap"]
+    repeats = {v.sticks for v in new if v.kind == "axis_repeat"}
+    assert repeats == {v.sticks for v in old if v.kind == "axis_repeat"}
+    # a corner verdict may differ only where the two sticks share an axis
+    assert {v.sticks for v in new if v.kind == "corner"} - repeats == {
+        v.sticks for v in old if v.kind == "corner"
+    } - repeats
+    new_kinds = {v.kind for v in new}
+    old_kinds = {v.kind for v in old} - {"open_chain"}
+    if repeats:
+        new_kinds, old_kinds = new_kinds - {"corner"}, old_kinds - {"corner"}
+    assert new_kinds == old_kinds
+    return old
+
+
+class TestValidateAgainstReference:
+    """Two passes give the three-pass validator's verdict and overlaps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_walks(self, rng):
+        assert_validates_like_reference(random_closed_walk(rng))
+
+    def test_seeded_walks_reach_every_verdict(self):
+        rng = random.Random(8008)
+        valid = open_chains = 0
+        for _ in range(2000):
+            old = assert_validates_like_reference(random_closed_walk(rng))
+            valid += not old
+            open_chains += any(v.kind == "open_chain" for v in old)
+        assert valid >= 100 and open_chains >= 200
+
+    def test_spike_is_an_overlap_of_its_neighbours(self):
+        # stick 1 runs up from (2, 0, 0) and meets sticks 0 and 2 only there
+        poly = LatticePolygon(
+            (
+                LatticeStick("x", 0, 2, 0, 0),
+                LatticeStick("z", 0, 1, 2, 0),
+                LatticeStick("y", 0, 2, 2, 0),
+                LatticeStick("x", 0, 2, 2, 0),
+                LatticeStick("y", 0, 2, 0, 0),
+            )
+        )
+        assert lk.validate_polygon(poly) == [
+            Violation("overlap", (0, 2), "non-adjacent sticks share 1 points")
+        ]
+        assert {v.kind for v in reference_validate_polygon(poly)} == {"open_chain", "overlap"}
+        with pytest.raises(lk.SelfIntersectionError):
+            require_valid(poly)

@@ -197,3 +197,19 @@ def test_one_scan_decides_like_the_three_pass_reference():
                 cases += 1
     assert fired["vertex_on_edge"] > 0
     assert sum(fired.values()) < cases  # some directions are generic
+
+
+def test_triple_point_alone_rejects_a_direction():
+    """A triple point with no contact at an edge's end: only its own check can reject B."""
+    P = lk.validate([[6, 7], [1, 4], [1, 3], [4, 5], [2, 3], [2, 7], [5, 6]])
+    verts = lk.reduce_ends(lk.construct_basic(P), P).vertices()
+    B = 2
+    pts = [(B * x - y, B * B * x - z) for x, y, z in verts]
+    assert len(set(pts)) == len(pts)
+    crossings = list(segment_crossings(pts))
+    assert crossings and all(0 < t1 < 1 and 0 < t2 < 1 for _, _, t1, t2, _ in crossings)
+    assert _try_projection(verts, B) is None
+    # with every contact interior, the reference's scan can only fire on its triple point
+    fired = dict.fromkeys(("images", "vertex_on_edge", "overlap", "scan"), 0)
+    assert reference_try_projection(verts, B, fired) is None
+    assert fired == {"images": 0, "vertex_on_edge": 0, "overlap": 0, "scan": 1}
