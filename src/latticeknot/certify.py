@@ -32,10 +32,14 @@ from .lattice import (
 )
 
 # bounds the polygon size (about 3a sticks) for the quadratic geometry
-# passes; Alexander time is not bounded by it: the integer Bareiss costs
-# about n**3 big-int divisions of up to n**2 bits, so it grows steeply in
-# the simplified crossing count n (a = 32 output diagrams with n = 131 and
-# n = 174 took 6.5 s and 35 s on one core of a Xeon VM, Python 3.11)
+# passes; Alexander time is not bounded by it.  The sparse integer Bareiss
+# touches few rows per step, but an entry after step k has about 1.3*n*k
+# bits and CPython divides big ints in quadratic time, so it still grows
+# steeply in the simplified crossing count n.  On one core of a Xeon VM,
+# Python 3.11: a = 32 output minors with n = 115, 140 and 173 take 0.13,
+# 0.38 and 1.2 s; a = 48 ones with n = 218, 259 and 266 take 4.5, 11 and
+# 17 s, and an a = 64 input minor with n = 399 takes 67 s.  So a = 48..64
+# is accepted here but not served in practice.
 MAX_ARC_COUNT = 64
 
 

@@ -8,10 +8,13 @@ Kauffman-bracket Jones polynomial.  Reidemeister simplification and the
 Wirtinger minor read only the Gauss word (the passages in traversal order)
 and the crossing signs; faces() walks the planar map but is not on the
 certify path.  The Alexander determinant is one
-fraction-free Bareiss elimination over Z after Kronecker substitution: the
-Laurent entries are packed into integers at t = 2**bits, where bits comes
-from a Hadamard bound on the determinant's coefficients, and the
-polynomial is read back from the balanced base-2**bits digits.
+sparse fraction-free Bareiss elimination over Z after Kronecker
+substitution: the nonzero Laurent entries are packed into integers at
+t = 2**bits, where bits comes from a Hadamard bound on the coefficients of
+every minor, and the polynomial is read back from the balanced base-2**bits
+digits.  A Wirtinger row has at most 3 nonzeros, so pivots follow
+Markowitz's rule and a step rewrites only the rows with a nonzero in the
+pivot column; the others are rescaled lazily, when they are next touched.
 """
 
 from __future__ import annotations
@@ -411,11 +414,12 @@ def simplify_diagram(d: PlanarDiagram) -> PlanarDiagram:
 
 
 def _bareiss_det(mat: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
-    """Determinant by one fraction-free Bareiss elimination over Z at t = 2**bits.
+    """Determinant by one sparse fraction-free elimination over Z at t = 2**bits.
 
     Kronecker substitution: each row is shifted by its minimal exponent
-    (det picks up t**s, s the total shift), every entry is packed into the
-    integer a_ij(X) with X = 2**bits, Bareiss runs on plain ints, and the
+    (det picks up t**s, s the total shift), every nonzero entry is packed
+    into the integer a_ij(X) with X = 2**bits, the elimination runs on
+    plain ints held as one dict (column -> entry) per row, and the
     coefficients of the polynomial determinant are read back as balanced
     base-X digits.
 
@@ -424,55 +428,109 @@ def _bareiss_det(mat: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
     Hadamard's inequality gives |det(t)|**2 <= H2; by Parseval the sum of the
     squared coefficients of det is the mean of |det(t)|**2 over the circle,
     hence every coefficient has magnitude at most isqrt(H2).  The same
-    argument bounds every minor of the shifted matrix (a row factor is >= 1
-    once zero rows are excluded), and Bareiss only ever holds minors.  With
-    2**bits > 2*isqrt(H2) every such coefficient lies strictly inside
-    (-X/2, X/2), so the balanced base-X digits of an integer minor are
-    exactly the coefficients of the polynomial minor.  In particular a
-    minor is zero as an integer iff it is zero as a polynomial, so pivots,
-    row swaps and the sign follow the elimination over Z[t] step for step.
-    Every division is exact by Sylvester's identity; a remainder raises
-    InternalInvariantError.
+    argument bounds every minor of the shifted matrix, whatever the order
+    of its rows and columns (a row factor is >= 1 once zero rows are
+    excluded).  With 2**bits > 2*isqrt(H2) every such coefficient lies
+    strictly inside (-X/2, X/2), so the balanced base-X digits of an integer
+    minor are exactly the coefficients of the polynomial minor; in
+    particular a minor is zero as an integer iff it is zero as a polynomial.
+
+    Pivot order.  Step k takes, among the nonzeros of the rows not yet
+    used, one of least Markowitz cost (r-1)(c-1), r and c the nonzero counts
+    of its row and of its column among those rows (Markowitz 1957), so few
+    new nonzeros appear.  This is Bareiss on the matrix with rows and
+    columns permuted into pivot order: pivot p_k is a leading k x k minor
+    of it and every entry held after step k is a (k+1) x (k+1) minor, all
+    covered by the bound.  So a pivot picked nonzero at X is a nonzero
+    polynomial and no row swap is needed; a row whose entries all vanish
+    makes det zero; otherwise det is p_n times the parities of the row
+    order and the column order.
+
+    Lazy scaling.  A row with a zero in the pivot column only gets
+    multiplied by p_k / p_{k-1}, so it is left alone.  With p_0 = 1, row i
+    is stored as S_i with a tag l_i, and its Bareiss row before step k is
+    S_i * p_{k-1} / p_{l_i}.  Step k first brings the pivot row r up to
+    date, T = S_r * p_{k-1} / p_{l_r} and p_k = T[c], then rewrites only
+    the rows with a nonzero in column c: S_i[j] <- (S_i[j] * p_k - S_i[c] *
+    T[j]) / p_{l_i}, and l_i <- k.  Every division is exact by Sylvester's
+    identity; a remainder raises InternalInvariantError.
     """
     n = len(mat)
     if n == 0:
         return LaurentPolynomial.one()
     shift = 0
     h2 = 1
-    rows = []
+    packed = []
     for row in mat:
-        terms = [p.items() for p in row]
-        lows = [its[0][0] for its in terms if its]
-        if not lows:
+        terms = [(j, p.items()) for j, p in enumerate(row) if not p.is_zero]
+        if not terms:
             return LaurentPolynomial.zero()
-        low = min(lows)
+        low = min(its[0][0] for _, its in terms)
         shift += low
-        h2 *= sum(sum(abs(c) for _, c in its) ** 2 for its in terms)
-        rows.append((low, terms))
+        h2 *= sum(sum(abs(c) for _, c in its) ** 2 for _, its in terms)
+        packed.append((low, terms))
     bits = (2 * isqrt(h2)).bit_length()
-    m = [[sum(c << bits * (e - low) for e, c in its) for its in terms] for low, terms in rows]
+    # the rows not yet used as pivot rows, each a dict column -> entry
+    rows = {
+        i: {j: sum(c << bits * (e - low) for e, c in its) for j, its in terms}
+        for i, (low, terms) in enumerate(packed)
+    }
 
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
+    def exact(num: int, den: int) -> int:
+        q, r = divmod(num, den)
+        if r:
+            raise InternalInvariantError(f"Bareiss division by pivot {den} is not exact")
+        return q
+
+    where: dict[int, set[int]] = {}  # column -> rows in `rows` with a nonzero there
+    for i, row in rows.items():
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    tags = [0] * n
+    pivots = [1]
+    row_order, col_order = [], []
+    for k in range(1, n + 1):
+        cost = n * n
+        for i, row in rows.items():
+            fill = len(row) - 1
+            for j in row:
+                here = fill * (len(where[j]) - 1)
+                if here < cost:
+                    cost, r, c = here, i, j
+            if cost == 0:
+                break
+        row_order.append(r)
+        col_order.append(c)
+        top = rows.pop(r)
+        for j in top:
+            where[j].discard(r)
+        if tags[r] != k - 1:  # catch up: T = S_r * p_{k-1} / p_{l_r}
+            prev, lag = pivots[k - 1], pivots[tags[r]]
+            top = {j: exact(v * prev, lag) for j, v in top.items()}
+        pivot = top.pop(c)
+        for i in where.pop(c):
+            s = rows[i].pop(c)
+            new = {j: v * pivot for j, v in rows[i].items()}
+            for j, v in top.items():
+                if j in new:
+                    new[j] -= s * v
+                else:
+                    new[j] = -s * v
+                    where[j].add(i)
+            lag = pivots[tags[i]]
+            row = {}
+            for j, v in new.items():
+                q = exact(v, lag)
+                if q:
+                    row[j] = q
+                else:
+                    where[j].discard(i)
+            if not row:
                 return LaurentPolynomial.zero()
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        top = m[k]
-        pivot = top[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            mik = row[k]
-            for j in range(k + 1, n):
-                q, r = divmod(row[j] * pivot - mik * top[j], prev)
-                if r:
-                    raise InternalInvariantError(f"Bareiss step {k} is not exact")
-                row[j] = q
-        prev = pivot
-    value = sign * m[n - 1][n - 1]
+            rows[i] = row
+            tags[i] = k
+        pivots.append(pivot)
+    value = -pivots[n] if _is_odd(row_order) != _is_odd(col_order) else pivots[n]
 
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)
@@ -486,6 +544,20 @@ def _bareiss_det(mat: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
         value = (value - digit) >> bits
         e += 1
     return LaurentPolynomial(coeffs)
+
+
+def _is_odd(perm: list[int]) -> bool:
+    """Whether a permutation of range(len(perm)) is odd: length minus cycle count."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return (len(perm) - cycles) % 2 == 1
 
 
 def _wirtinger_minor(d: PlanarDiagram) -> list[list[LaurentPolynomial]]:
@@ -518,10 +590,11 @@ def _wirtinger_minor(d: PlanarDiagram) -> list[list[LaurentPolynomial]]:
 def alexander(D: PlanarDiagram, *, presimplify: bool = True) -> LaurentPolynomial:
     """Canonical Alexander polynomial via a Wirtinger matrix minor.
 
-    The determinant of the minor (_wirtinger_minor) is one fraction-free
-    Bareiss elimination over the integers after Kronecker substitution
-    t = 2**bits, with bits fixed by the Hadamard bound on the minor's
-    coefficients, so the polynomial is recovered exactly (_bareiss_det).
+    The determinant of the minor (_wirtinger_minor) is one sparse
+    fraction-free Bareiss elimination over the integers after Kronecker
+    substitution t = 2**bits, with pivots in Markowitz order and lazily
+    scaled rows; bits is fixed by the Hadamard bound on the coefficients of
+    every minor, so the polynomial is recovered exactly (_bareiss_det).
     """
     d = simplify_diagram(D) if presimplify else D
     if d.n <= 1:

@@ -60,7 +60,7 @@ class TestConstructAuto:
             want = 3 * a - 2 if cert.branch == "torus-star" else 3 * a - 4
             assert cert.stick_count == want
 
-    @pytest.mark.parametrize("a", [16, 20, 24, 28])
+    @pytest.mark.parametrize("a", [16, 20, 24, 28, 32])
     def test_stick_law_and_match_past_a9(self, a):
         rng = random.Random(7000 + a)
         for _ in range(3):
