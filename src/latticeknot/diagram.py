@@ -20,8 +20,7 @@ pivot column; the others are rescaled lazily, when they are next touched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterator
 
 from .arc import ArcPresentation
@@ -129,10 +128,6 @@ class PlanarDiagram:
 # assembling diagrams from traversal events
 
 
-def _cross2(u: tuple[int, int], v: tuple[int, int]) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def _assemble(events: list[tuple[object, bool]], signs: dict) -> PlanarDiagram:
     """Build a diagram from traversal events (key, passes_over) and crossing signs.
 
@@ -173,31 +168,31 @@ def _assemble(events: list[tuple[object, bool]], signs: dict) -> PlanarDiagram:
     return PlanarDiagram(tuple(crossings), total, gauss)
 
 
-def segment_crossings(
-    pts: list[tuple[int, int]],
-) -> Iterator[tuple[int, int, Fraction, Fraction, int]]:
+def segment_crossings(pts: list[tuple[int, int]]) -> Iterator[tuple[int, int, int, int, int]]:
     """Meeting points of non-adjacent segments of the closed polyline pts.
 
-    Segment k runs from pts[k] to pts[k+1 mod m].  Yields (s1, s2, t1, t2,
-    den) for every pair s1 < s2 of non-parallel segments that meet at
-    exact parameters 0 <= t1, t2 <= 1, in order of s1 then s2.  den is the
-    cross product of the two directions; it is positive when segment s2
-    crosses segment s1 from right to left.  Parallel pairs are skipped.
+    Segment k runs from pts[k] to pts[k+1 mod m].  Yields (s1, s2, n1, n2,
+    den), all plain ints, for every pair s1 < s2 of non-parallel segments
+    that meet, in order of s1 then s2.  They meet at the parameters
+    t1 = n1/den along s1 and t2 = n2/den along s2, with 0 <= t1, t2 <= 1;
+    no rational is built.  den is the cross product of the two directions;
+    it is positive when segment s2 crosses segment s1 from right to left.
+    Parallel pairs are skipped.
     """
     m = len(pts)
-    dirs = [(pts[(k + 1) % m][0] - pts[k][0], pts[(k + 1) % m][1] - pts[k][1]) for k in range(m)]
+    segs = [(x, y, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:] + pts[:1])]
     for s1 in range(m):
-        d1 = dirs[s1]
+        x1, y1, dx1, dy1 = segs[s1]
         for s2 in range(s1 + 2, m if s1 else m - 1):
-            d2 = dirs[s2]
-            den = _cross2(d1, d2)
+            x2, y2, dx2, dy2 = segs[s2]
+            den = dx1 * dy2 - dy1 * dx2
             if den == 0:
                 continue
-            rel = (pts[s2][0] - pts[s1][0], pts[s2][1] - pts[s1][1])
-            n1, n2 = _cross2(rel, d2), _cross2(rel, d1)
-            lo, hi = (0, den) if den > 0 else (den, 0)
-            if lo <= n1 <= hi and lo <= n2 <= hi:
-                yield s1, s2, Fraction(n1, den), Fraction(n2, den), den
+            rx, ry = x2 - x1, y2 - y1
+            n1 = rx * dy2 - ry * dx2
+            n2 = rx * dy1 - ry * dx1
+            if (0 <= n1 <= den and 0 <= n2 <= den) or (den <= n1 <= 0 and den <= n2 <= 0):
+                yield s1, s2, n1, n2, den
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +249,16 @@ def arc_to_planar(P: ArcPresentation) -> PlanarDiagram:
 def project_polygon(poly: LatticePolygon) -> PlanarDiagram:
     """Project along the first generic direction (1, B, B**2), B = M+2, M+3, ...
 
-    M is the largest coordinate magnitude.  Genericity is decided with
-    exact integer and rational arithmetic: distinct vertex images, then one
+    M is the largest coordinate magnitude.  Genericity is decided in
+    exact integer arithmetic: distinct vertex images, then one
     segment_crossings scan that rejects any contact at an edge's end, which
     covers vertices on edges and collinear overlaps since consecutive sticks
     never project to parallel edges, and last a triple point, seen as two
-    equal parameters in one segment's sorted hits.  Over/under comes
-    from exact depth along the projection direction (larger depth is nearer
-    the viewer).
+    equal parameters in one segment's sorted hits.  A crossing's two
+    parameters share one denominator d, so each side compares integers:
+    hits sort by numerators brought over the lcm of their segment's
+    denominators, and over/under compares the exact depths along the
+    projection direction scaled by d (larger depth is nearer the viewer).
     """
     verts = require_valid(poly).vertices()
     M = max(1, max(abs(c) for v in verts for c in v))
@@ -292,29 +289,36 @@ def _try_projection(verts: list[tuple[int, int, int]], B: int) -> PlanarDiagram 
     # has an edge neither parallel nor adjacent to s, reported here at t = 0
     # or 1, and a collinear overlap puts a vertex inside an edge or repeats a
     # vertex image.  Equal depths would be one 3-D point on two sticks.
-    hits: dict[int, list[tuple[Fraction, int, bool]]] = {k: [] for k in range(m)}
+    hits: dict[int, list[tuple[int, int, int, bool]]] = {k: [] for k in range(m)}
     signs: dict[tuple[int, int], int] = {}
     depths = [depth(v) for v in verts]
-    for s1, s2, t1, t2, den in segment_crossings(pts):
-        if not (0 < t1 < 1 and 0 < t2 < 1):
+    for s1, s2, n1, n2, den in segment_crossings(pts):
+        # both parameters over one positive denominator: t1 = n1/d, t2 = n2/d
+        d = abs(den)
+        if den < 0:
+            n1, n2 = -n1, -n2
+        if not (0 < n1 < d and 0 < n2 < d):
             return None  # a vertex on another edge, or a collinear overlap
-        here = depths[s1] + t1 * (depths[(s1 + 1) % m] - depths[s1])
-        there = depths[s2] + t2 * (depths[(s2 + 1) % m] - depths[s2])
+        # the two depths at the crossing, both scaled by d
+        here = depths[s1] * d + n1 * (depths[(s1 + 1) % m] - depths[s1])
+        there = depths[s2] * d + n2 * (depths[(s2 + 1) % m] - depths[s2])
         if here == there:
             raise InternalInvariantError("equal depths at a projected crossing")
         s1_over = here > there
         # positive when the over direction is the under one turned counterclockwise
         sign = 1 if den > 0 else -1
         signs[s1, s2] = -sign if s1_over else sign
-        hits[s1].append((t1, s2, s1_over))
-        hits[s2].append((t2, s1, not s1_over))
+        hits[s1].append((n1, d, s2, s1_over))
+        hits[s2].append((n2, d, s1, not s1_over))
 
-    # a triple point shows as two equal parameters on one segment: with no
-    # contact at an edge's end, three edges through one point are pairwise
-    # non-adjacent and non-parallel, so each is hit by the other two there
+    # a segment's hits sort by the integer n * (L // d), L the lcm of their
+    # denominators.  A triple point shows as two equal keys on one segment:
+    # with no contact at an edge's end, three edges through one point are
+    # pairwise non-adjacent and non-parallel, so each meets the other two there
     events: list[tuple[object, bool]] = []
     for s in range(m):
-        row = sorted(hits[s])
+        L = lcm(*(d for _, d, _, _ in hits[s]))
+        row = sorted((n * (L // d), other, over) for n, d, other, over in hits[s])
         if any(u[0] == v[0] for u, v in zip(row, row[1:])):
             return None  # triple point
         events += [((min(s, other), max(s, other)), over) for _, other, over in row]

@@ -13,7 +13,9 @@ from .certify import MAX_ARC_COUNT, BoundCheck, ConstructionCertificate, Invaria
 from .lattice import FIXED_COORDS, LatticePolygon, LatticeStick
 
 # the basic construction's size at a = MAX_ARC_COUNT, the largest polygon
-# built here; bounds the quadratic validation of polygons read from JSON
+# built here; bounds the validation of polygons read from JSON, which
+# compares every pair of sticks that share a coordinate plane and so is
+# quadratic when many sticks share one plane
 MAX_STICKS = 3 * MAX_ARC_COUNT
 # constructions use coordinates 1..64; this bound keeps isometric screen
 # coordinates below 2**46, where a double still resolves the SVG's hundredths

@@ -130,7 +130,9 @@ def validate_polygon(poly: LatticePolygon) -> list[Violation]:
     Two passes.  Consecutive sticks must lie on different axes and share
     exactly one endpoint, the test vertices() makes; for perpendicular
     sticks that is the same as meeting in one point that ends both.
-    Non-adjacent sticks must share no lattice point.  A stick that meets
+    Non-adjacent sticks must share no lattice point; only pairs in a common
+    coordinate plane are compared, so the cost is quadratic only in the
+    largest number of sticks that share one plane.  A stick that meets
     both neighbours at one point p needs no check of its own: its two
     neighbours both contain p and, for m >= 4, are not adjacent, so the
     second pass reports them as an overlap.
@@ -158,14 +160,27 @@ def validate_polygon(poly: LatticePolygon) -> list[Violation]:
                 )
             )
 
+    # sticks that share a point share a plane: perpendicular ones the plane
+    # of the third coordinate, parallel ones both planes of their axis
+    planes: dict[tuple[str, int], list[int]] = {}
+    for k, s in enumerate(sticks):
+        n1, n2 = FIXED_COORDS[s.axis]
+        planes.setdefault((n1, s.c1), []).append(k)
+        planes.setdefault((n2, s.c2), []).append(k)
+    pairs = {
+        (i, j)
+        for ks in planes.values()
+        for x, i in enumerate(ks)
+        for j in ks[x + 1:]
+        if j > i + 1 and (i, j) != (0, m - 1)
+    }
     boxes = [s.ranges() for s in sticks]
-    for i in range(m):
-        for j in range(i + 2, m if i else m - 1):
-            common = _overlap_points(boxes[i], boxes[j])
-            if common:
-                violations.append(
-                    Violation("overlap", (i, j), f"non-adjacent sticks share {common} points")
-                )
+    for i, j in sorted(pairs):
+        common = _overlap_points(boxes[i], boxes[j])
+        if common:
+            violations.append(
+                Violation("overlap", (i, j), f"non-adjacent sticks share {common} points")
+            )
     return violations
 
 

@@ -1,15 +1,17 @@
 """SVG and Wavefront OBJ exports of lattice polygons.
 
-The SVG view is a fixed isometric projection with rational axis images,
+The SVG view is a fixed isometric projection with integer axis images,
 so hidden-line decisions (which strand gets the gap at a crossing) are
-made exactly.  The OBJ export writes one vertex per polygon corner and
-one polyline record per stick.
+made exactly in integers.  A crossing parameter stays a pair n/d, each
+segment's cut bounds share one integer denominator, and a drawn endpoint
+becomes a float only through one correctly rounded int division, the
+rounding float() of the same rational gives.  The OBJ export writes one
+vertex per polygon corner and one polyline record per stick.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .diagram import segment_crossings
 from .lattice import LatticePolygon
@@ -17,7 +19,7 @@ from .lattice import LatticePolygon
 # isometric axis images, scaled by 30 to stay integral:
 # x -> (30, 0), y -> (-26, 15), z -> (0, -30); view direction (26, 30, 15)
 _SCALE = 30
-_GAP = Fraction(3, 10)  # lattice units of strand hidden on each side
+_HALF_GAP = 9  # screen units of strand hidden on each side: 3/10 of a lattice unit
 
 
 def _screen(p: tuple[int, int, int]) -> tuple[int, int]:
@@ -38,33 +40,46 @@ def render_svg(poly: LatticePolygon) -> str:
     depths = [_depth(v) for v in verts]
     segs = [(pts[k], pts[(k + 1) % m]) for k in range(m)]
 
-    # cut intervals (in segment parameter) for under-passages
-    cuts: dict[int, list[tuple[Fraction, Fraction]]] = {k: [] for k in range(m)}
-    for s1, s2, t1, t2, _ in segment_crossings(pts):
-        if not (0 < t1 < 1 and 0 < t2 < 1):
+    # under-passage centres n/d (in segment parameter), d > 0
+    centres: dict[int, list[tuple[int, int]]] = {k: [] for k in range(m)}
+    for s1, s2, n1, n2, den in segment_crossings(pts):
+        d = abs(den)
+        if den < 0:
+            n1, n2 = -n1, -n2
+        if not (0 < n1 < d and 0 < n2 < d):
             continue  # touching strands need no gap
-        h1 = depths[s1] + t1 * (depths[(s1 + 1) % m] - depths[s1])
-        h2 = depths[s2] + t2 * (depths[(s2 + 1) % m] - depths[s2])
+        # the two depths at the crossing, both scaled by d
+        h1 = depths[s1] * d + n1 * (depths[(s1 + 1) % m] - depths[s1])
+        h2 = depths[s2] * d + n2 * (depths[(s2 + 1) % m] - depths[s2])
         if h1 == h2:
             continue  # projective coincidence of distinct points; draw plain
-        under, t_under = (s1, t1) if h1 < h2 else (s2, t2)
-        (ax, ay), (bx, by) = segs[under]
-        seg_len = isqrt((bx - ax) ** 2 + (by - ay) ** 2)
-        half_gap = int(_GAP * _SCALE)
-        dt = min(Fraction(1, 3), Fraction(half_gap, max(seg_len, 1)))
-        cuts[under].append((max(Fraction(0), t_under - dt), min(Fraction(1), t_under + dt)))
+        if h1 < h2:
+            centres[s1].append((n1, d))
+        else:
+            centres[s2].append((n2, d))
 
     lines = []
     for k in range(m):
         (x1, y1), (x2, y2) = segs[k]
-        # one sweep over the sorted cuts; the empty cut at 1 draws the tail
-        start = Fraction(0)
-        for lo, hi in sorted(cuts[k]) + [(Fraction(1), Fraction(1))]:
+        # half-width p/q of each cut: the gap, but at most a third of the segment
+        seg_len = isqrt((x2 - x1) ** 2 + (y2 - y1) ** 2)
+        p, q = (_HALF_GAP, seg_len) if 3 * _HALF_GAP < seg_len else (1, 3)
+        # every cut bound and drawn parameter is an integer over D = q * L
+        L = lcm(*(d for _, d in centres[k]))
+        D = q * L
+        cuts = []
+        for n, d in centres[k]:
+            c = n * (D // d)
+            cuts.append((max(0, c - p * L), min(D, c + p * L)))
+        cuts.sort()
+        # one sweep over the sorted cuts; the empty cut at D draws the tail
+        start = 0
+        for lo, hi in cuts + [(D, D)]:
             if lo > start:
-                ax = float(x1 + start * (x2 - x1))
-                ay = float(y1 + start * (y2 - y1))
-                bx = float(x1 + lo * (x2 - x1))
-                by = float(y1 + lo * (y2 - y1))
+                ax = (x1 * D + start * (x2 - x1)) / D
+                ay = (y1 * D + start * (y2 - y1)) / D
+                bx = (x1 * D + lo * (x2 - x1)) / D
+                by = (y1 * D + lo * (y2 - y1)) / D
                 lines.append(
                     f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" y2="{by:.2f}"/>'
                 )

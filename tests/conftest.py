@@ -9,6 +9,7 @@ import pytest
 
 import latticeknot as lk
 from latticeknot import LaurentPolynomial
+from latticeknot.certify import build_branch
 
 SUITE_SEED = 20260809
 SUITE_SIZE = 200
@@ -44,6 +45,11 @@ def star_in_order(a: int) -> lk.ArcPresentation:
         j = lk.mod_star(i + n, a)
         arcs.append((min(i, j), max(i, j)))
     return lk.validate(arcs)
+
+
+def certified_polygon(a: int) -> lk.LatticePolygon:
+    """The polygon certify builds for a seeded random presentation with a arcs."""
+    return build_branch(lk.random_presentation(a, random.Random(9000 + a)), "auto")[1]
 
 
 def torus_alexander(p: int, q: int) -> LaurentPolynomial:

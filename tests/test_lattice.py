@@ -491,18 +491,20 @@ def reference_validate_polygon(poly):
     return violations
 
 
-def random_closed_walk(rng, box=3):
+def random_closed_walk(rng, box=3, axes=3, steps=10):
     """Sticks of a closed rectilinear walk in [0, box]^3, in walk order.
 
-    Folds, overlaps and straight-through corners are all allowed, so the
-    walk may break any polygon invariant.  One time in four a spike goes in
-    at a corner: a stick that has the corner as an endpoint and sits
-    between the two sticks that meet there.
+    The walk takes 2..steps random steps along the first `axes` axes, then
+    closes; with axes=2 every stick lies in one z-plane.  Folds, overlaps
+    and straight-through corners are all allowed, so the walk may break any
+    polygon invariant.  One time in four a spike goes in at a corner: a
+    stick that has the corner as an endpoint and sits between the two
+    sticks that meet there.
     """
     start = cur = tuple(rng.randint(0, box) for _ in range(3))
     corners = [start]
-    for _ in range(rng.randint(2, 10)):
-        d = rng.randrange(3)
+    for _ in range(rng.randint(2, steps)):
+        d = rng.randrange(axes)
         cur = cur[:d] + (rng.choice([v for v in range(box + 1) if v != cur[d]]),) + cur[d + 1:]
         corners.append(cur)
     for d in rng.sample(range(3), 3):
@@ -517,7 +519,7 @@ def random_closed_walk(rng, box=3):
         sticks.append(LatticeStick("xyz"[d], min(p[d], q[d]), max(p[d], q[d]), c1, c2))
     if rng.random() < 0.25:
         k = rng.randrange(len(corners))
-        p, d = corners[k], rng.randrange(3)
+        p, d = corners[k], rng.randrange(axes)
         c1, c2 = (p[e] for e in range(3) if e != d)
         v = rng.choice([v for v in range(box + 1) if v != p[d]])
         sticks.insert(k, LatticeStick("xyz"[d], min(p[d], v), max(p[d], v), c1, c2))
@@ -560,6 +562,28 @@ class TestValidateAgainstReference:
             valid += not old
             open_chains += any(v.kind == "open_chain" for v in old)
         assert valid >= 100 and open_chains >= 200
+
+    def test_walks_in_a_larger_box(self):
+        """Sticks spread over many planes, so most pairs are never compared."""
+        rng = random.Random(8012)
+        overlaps = 0
+        for _ in range(1000):
+            old = assert_validates_like_reference(random_closed_walk(rng, box=12, steps=30))
+            overlaps += sum(v.kind == "overlap" for v in old)
+        assert overlaps >= 1000
+
+    def test_planar_walks(self):
+        """Every stick in one z-plane: one bucket holds every pair, the all-pairs worst case."""
+        rng = random.Random(8013)
+        valid = overlaps = 0
+        for _ in range(500):
+            steps = rng.choice([4, 30])
+            poly = random_closed_walk(rng, box=rng.choice([3, 12]), axes=2, steps=steps)
+            assert len({v[2] for s in poly.sticks for v in s.endpoints()}) == 1
+            old = assert_validates_like_reference(poly)
+            valid += not old
+            overlaps += sum(v.kind == "overlap" for v in old)
+        assert valid >= 10 and overlaps >= 1000
 
     def test_spike_is_an_overlap_of_its_neighbours(self):
         # stick 1 runs up from (2, 0, 0) and meets sticks 0 and 2 only there

@@ -6,7 +6,32 @@ from fractions import Fraction
 import latticeknot as lk
 from latticeknot import LatticePolygon, LatticeStick
 from latticeknot.certify import build_branch
-from latticeknot.diagram import _assemble, _cross2, _try_projection, segment_crossings
+from latticeknot.diagram import _assemble, _try_projection, segment_crossings
+from latticeknot.render import _screen
+
+from conftest import certified_polygon
+
+
+def _cross2(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def reference_segment_crossings(pts):
+    """The Fraction form of the segment-intersection kernel: (s1, s2, t1, t2, den)."""
+    m = len(pts)
+    dirs = [(pts[(k + 1) % m][0] - pts[k][0], pts[(k + 1) % m][1] - pts[k][1]) for k in range(m)]
+    for s1 in range(m):
+        d1 = dirs[s1]
+        for s2 in range(s1 + 2, m if s1 else m - 1):
+            d2 = dirs[s2]
+            den = _cross2(d1, d2)
+            if den == 0:
+                continue
+            rel = (pts[s2][0] - pts[s1][0], pts[s2][1] - pts[s1][1])
+            n1, n2 = _cross2(rel, d2), _cross2(rel, d1)
+            lo, hi = (0, den) if den > 0 else (den, 0)
+            if lo <= n1 <= hi and lo <= n2 <= hi:
+                yield s1, s2, Fraction(n1, den), Fraction(n2, den), den
 
 
 def unit_square():
@@ -22,19 +47,57 @@ def unit_square():
 
 class TestSegmentCrossings:
     def test_transversal_hit_exact(self):
-        # segments 0 and 2 cross at (4, 2); segments 1 and 3 are parallel
+        # segments 0 and 2 cross at (4, 2), t1 = 36/54 and t2 = 18/54;
+        # segments 1 and 3 are parallel
         pts = [(0, 0), (6, 3), (6, 0), (0, 6)]
-        assert list(segment_crossings(pts)) == [(0, 2, Fraction(2, 3), Fraction(1, 3), 54)]
+        assert list(segment_crossings(pts)) == [(0, 2, 36, 18, 54)]
 
     def test_boundary_contact_reported(self):
-        # vertex (2, 0) ends segment 2 on the interior of segment 0;
-        # segments 1 and 3 miss each other
+        # vertex (2, 0) ends segment 2 on the interior of segment 0:
+        # t1 = -4/-8 and t2 = -8/-8; segments 1 and 3 miss each other
         pts = [(0, 0), (4, 0), (4, 2), (2, 0)]
-        assert list(segment_crossings(pts)) == [(0, 2, Fraction(1, 2), Fraction(1), -8)]
+        assert list(segment_crossings(pts)) == [(0, 2, -4, -8, -8)]
 
     def test_adjacent_segments_never_paired(self):
         pts = [(0, 0), (2, 0), (2, 2), (0, 2)]
         assert list(segment_crossings(pts)) == []
+
+    @staticmethod
+    def assert_like_reference(pts):
+        got = list(segment_crossings(pts))
+        want = list(reference_segment_crossings(pts))
+        assert [(s1, s2, den) for s1, s2, _, _, den in got] == [
+            (s1, s2, den) for s1, s2, _, _, den in want
+        ]
+        for (_, _, n1, n2, den), (_, _, t1, t2, _) in zip(got, want):
+            assert type(n1) is int and type(n2) is int
+            assert Fraction(n1, den) == t1 and Fraction(n2, den) == t2
+        return len(got)
+
+    def test_integer_kernel_meets_like_the_fraction_reference(self):
+        """Both views of seeded polygons at a = 5..64: the isometric one and (1, B, B**2)."""
+        rng = random.Random(4040)
+        hits = 0
+        for a in range(5, 65):
+            poly = build_branch(lk.random_presentation(a, rng), "auto")[1]
+            verts = poly.vertices()
+            B = max(abs(c) for v in verts for c in v) + 2
+            hits += self.assert_like_reference([_screen(v) for v in verts])
+            hits += self.assert_like_reference([(B * x - y, B * B * x - z) for x, y, z in verts])
+        assert hits > 10000
+
+    def test_integer_kernel_at_coordinates_near_2_to_the_40(self):
+        """Generic polylines, and grid ones with shared vertices and collinear overlaps."""
+        rng = random.Random(4041)
+        contacts = 0
+        for _ in range(40):
+            m = rng.randint(4, 30)
+            pts = [(rng.randint(-2**40, 2**40), rng.randint(-2**40, 2**40)) for _ in range(m)]
+            self.assert_like_reference(pts)
+            grid = [(rng.randint(-4, 4) << 38, rng.randint(-4, 4) << 38) for _ in range(m)]
+            self.assert_like_reference(grid)
+            contacts += sum(n1 in (0, den) for _, _, n1, _, den in segment_crossings(grid))
+        assert contacts > 0
 
 
 class TestProjectPolygon:
@@ -155,7 +218,7 @@ def reference_try_projection(verts, B, fired):
     seen_points = set()
     signs = {}
     depths = [p[0] + B * p[1] + B * B * p[2] for p in verts]
-    for s1, s2, t1, t2, den in segment_crossings(pts):
+    for s1, s2, t1, t2, den in reference_segment_crossings(pts):
         if not (0 < t1 < 1 and 0 < t2 < 1):
             fired["scan"] += 1
             return None
@@ -182,21 +245,26 @@ def reference_try_projection(verts, B, fired):
 
 
 def test_one_scan_decides_like_the_three_pass_reference():
-    """Every B from 1 to M+5 gets the reference's verdict and diagram."""
+    """The reference's verdict and diagram for every B from 1 to M+5 at a = 5..12,
+    and for B = M+2..M+4 on certified polygons at a = 48, 56 and 64."""
     rng = random.Random(5005)
     fired = dict.fromkeys(("images", "vertex_on_edge", "overlap", "scan"), 0)
-    cases = 0
+    cases = []
     for a in range(5, 13):
         P = lk.random_presentation(a, rng)
         basic = lk.construct_basic(P)
         for poly in (basic, lk.reduce_ends(basic, P), build_branch(P, "auto")[1]):
             verts = poly.vertices()
             M = max(abs(c) for v in verts for c in v)
-            for B in range(1, M + 6):
-                assert _try_projection(verts, B) == reference_try_projection(verts, B, fired)
-                cases += 1
+            cases += [(verts, B) for B in range(1, M + 6)]
+    for a in (48, 56, 64):
+        verts = certified_polygon(a).vertices()
+        M = max(abs(c) for v in verts for c in v)
+        cases += [(verts, B) for B in range(M + 2, M + 5)]
+    for verts, B in cases:
+        assert _try_projection(verts, B) == reference_try_projection(verts, B, fired)
     assert fired["vertex_on_edge"] > 0
-    assert sum(fired.values()) < cases  # some directions are generic
+    assert sum(fired.values()) < len(cases)  # some directions are generic
 
 
 def test_triple_point_alone_rejects_a_direction():
@@ -207,7 +275,9 @@ def test_triple_point_alone_rejects_a_direction():
     pts = [(B * x - y, B * B * x - z) for x, y, z in verts]
     assert len(set(pts)) == len(pts)
     crossings = list(segment_crossings(pts))
-    assert crossings and all(0 < t1 < 1 and 0 < t2 < 1 for _, _, t1, t2, _ in crossings)
+    assert crossings and all(
+        0 < Fraction(n1, den) < 1 and 0 < Fraction(n2, den) < 1 for _, _, n1, n2, den in crossings
+    )
     assert _try_projection(verts, B) is None
     # with every contact interior, the reference's scan can only fire on its triple point
     fired = dict.fromkeys(("images", "vertex_on_edge", "overlap", "scan"), 0)

@@ -5,13 +5,21 @@ from fractions import Fraction
 from math import isqrt
 
 import latticeknot as lk
+from latticeknot import LatticePolygon, LatticeStick, jsonio
 from latticeknot.certify import build_branch
-from latticeknot.diagram import segment_crossings
-from latticeknot.render import _GAP, _SCALE, _depth, _screen, render_svg
+from latticeknot.render import _SCALE, _depth, _screen, render_svg
+
+from conftest import certified_polygon
+from test_projection import reference_segment_crossings
+
+_GAP = Fraction(3, 10)  # lattice units of strand hidden on each side
 
 
 def reference_render_svg(poly):
-    """The SVG export that split every visible piece at every cut, before one sweep per segment."""
+    """The Fraction SVG export that split every visible piece at every cut.
+
+    It predates both the one sweep per segment and the integer cut bounds.
+    """
     verts = poly.vertices()
     m = len(verts)
     pts = [_screen(v) for v in verts]
@@ -19,7 +27,7 @@ def reference_render_svg(poly):
     segs = [(pts[k], pts[(k + 1) % m]) for k in range(m)]
 
     cuts = {k: [] for k in range(m)}
-    for s1, s2, t1, t2, _ in segment_crossings(pts):
+    for s1, s2, t1, t2, _ in reference_segment_crossings(pts):
         if not (0 < t1 < 1 and 0 < t2 < 1):
             continue
         h1 = depths[s1] + t1 * (depths[(s1 + 1) % m] - depths[s1])
@@ -69,14 +77,33 @@ def reference_render_svg(poly):
 
 
 def test_one_sweep_draws_like_the_piece_splitting_reference():
-    """Byte-equal SVG on the basic, reduced and certified polygons at a = 5..24 and 64."""
+    """Byte-equal SVG on the basic, reduced and certified polygons at a = 5..24 and 64,
+    and on the certified ones at a = 48 and 56."""
     gaps = 0
+    polys = []
     for a in [*range(5, 25), 64]:
         P = lk.random_presentation(a, random.Random(9000 + a))
         basic = lk.construct_basic(P)
-        for poly in (basic, lk.reduce_ends(basic, P), build_branch(P, "auto")[1]):
-            svg = render_svg(poly)
-            assert svg == reference_render_svg(poly)
-            gaps += svg.count("<line") - len(poly.sticks)
+        polys += [basic, lk.reduce_ends(basic, P), build_branch(P, "auto")[1]]
+    polys += [certified_polygon(48), certified_polygon(56)]
+    for poly in polys:
+        svg = render_svg(poly)
+        assert svg == reference_render_svg(poly)
+        gaps += svg.count("<line") - len(poly.sticks)
     assert gaps > 1000  # the gaps split segments into many pieces
 
+
+def test_big_coordinates_draw_like_the_reference():
+    """A certified a=64 polygon scaled by 2**34 reaches MAX_COORD; its cut denominators are big ints."""
+    scale = 2**34
+    poly = LatticePolygon(
+        tuple(
+            LatticeStick(s.axis, s.lo * scale, s.hi * scale, s.c1 * scale, s.c2 * scale)
+            for s in certified_polygon(64).sticks
+        )
+    )
+    assert max(abs(c) for v in poly.vertices() for c in v) == jsonio.MAX_COORD
+    assert jsonio.polygon_from_obj(poly.to_json_obj()) == poly
+    svg = render_svg(poly)
+    assert svg == reference_render_svg(poly)
+    assert svg.count("<line") > len(poly.sticks)
