@@ -24,7 +24,7 @@ from .arc import (
     rotate_pages,
     torus_order_check,
 )
-from .certify import ArcCountOutOfRangeError, build_branch, check_bounds, construct_auto
+from .certify import MAX_ARC_COUNT, ArcCountOutOfRangeError, build_branch, check_bounds, construct_auto
 from .diagram import (
     NoGenericDirectionError,
     alexander,
@@ -186,6 +186,8 @@ def _cmd_render(args) -> int:
 
 def _cmd_dataset(args) -> int:
     if args.action == "list":
+        if args.name is not None:
+            raise _UsageError("dataset list takes no knot name")
         for name in dataset.names():
             e = dataset.get(name)
             kind = "non-alternating" if e.non_alternating_prime else "alternating"
@@ -199,6 +201,8 @@ def _cmd_dataset(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    if args.a > MAX_ARC_COUNT:
+        raise ValueError(f"random presentations have at most {MAX_ARC_COUNT} arcs, got a={args.a}")
     rng = random.Random(args.seed)
     _print(random_presentation(args.a, rng).to_json_obj())
     return EXIT_OK
@@ -264,29 +268,44 @@ def _make_parser() -> _Parser:
     return parser
 
 
+def _silence(stream) -> None:
+    """Point a broken stream's descriptor at the null device, so the flush at exit is quiet."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
+
+
+def _diagnose(message: str) -> None:
+    """Best-effort line on stderr: when stderr is a closed pipe too, only the message is lost."""
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except OSError:
+        _silence(sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _diagnose(f"usage error: {exc}")
         return EXIT_USAGE
     try:
         code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet the flush at exit
-        print(f"invalid input: cannot write <stdout>: {exc}", file=sys.stderr)
+        _silence(sys.stdout)
+        _diagnose(f"invalid input: cannot write <stdout>: {exc}")
         return EXIT_INVALID
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _diagnose(f"usage error: {exc}")
         return EXIT_USAGE
     except (PresentationError, ArcCountOutOfRangeError, SelfIntersectionError, ValueError, KeyError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
+        _diagnose(f"invalid input: {exc}")
         return EXIT_INVALID
     except (InternalInvariantError, NoGenericDirectionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        _diagnose(f"internal error: {exc}")
         return EXIT_INTERNAL
 
 

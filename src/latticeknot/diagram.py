@@ -20,8 +20,9 @@ pivot column; the others are rescaled lazily, when they are next touched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, lcm
-from typing import Iterator
+from bisect import bisect_left, bisect_right
+from itertools import combinations
+from math import gcd, isqrt, lcm
 
 from .arc import ArcPresentation
 from .errors import InternalInvariantError
@@ -168,31 +169,73 @@ def _assemble(events: list[tuple[object, bool]], signs: dict) -> PlanarDiagram:
     return PlanarDiagram(tuple(crossings), total, gauss)
 
 
-def segment_crossings(pts: list[tuple[int, int]]) -> Iterator[tuple[int, int, int, int, int]]:
+def segment_crossings(pts: list[tuple[int, int]]) -> list[tuple[int, int, int, int, int]]:
     """Meeting points of non-adjacent segments of the closed polyline pts.
 
-    Segment k runs from pts[k] to pts[k+1 mod m].  Yields (s1, s2, n1, n2,
+    Segment k runs from pts[k] to pts[k+1 mod m].  Returns (s1, s2, n1, n2,
     den), all plain ints, for every pair s1 < s2 of non-parallel segments
     that meet, in order of s1 then s2.  They meet at the parameters
     t1 = n1/den along s1 and t2 = n2/den along s2, with 0 <= t1, t2 <= 1;
     no rational is built.  den is the cross product of the two directions;
     it is positive when segment s2 crosses segment s1 from right to left.
-    Parallel pairs are skipped.
+    Parallel pairs are skipped, and so is a zero-length segment, which is
+    parallel to everything.
+
+    Only candidate pairs are visited.  Segments are grouped by primitive
+    direction up to sign, and for two classes with directions u and v the
+    skew coordinates alpha = cross(p, v) and beta = cross(u, p) are an
+    invertible integer map of the plane (its determinant is cross(u, v)
+    != 0).  A u-segment maps to an alpha-interval at one beta and a
+    v-segment to a beta-interval at one alpha, so the two closed segments
+    meet exactly when each one's fixed coordinate lies in the other's
+    interval, bounds included.  The v-segments sorted by alpha are bisected
+    for each u-segment's interval and the survivors' beta is compared.
+    With c classes this costs O(c * m log m) plus one comparison per pair
+    whose alpha matches, instead of m**2 / 2 pair tests; a lattice
+    polygon's linear views have c = 3.
     """
     m = len(pts)
     segs = [(x, y, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:] + pts[:1])]
-    for s1 in range(m):
-        x1, y1, dx1, dy1 = segs[s1]
-        for s2 in range(s1 + 2, m if s1 else m - 1):
-            x2, y2, dx2, dy2 = segs[s2]
-            den = dx1 * dy2 - dy1 * dx2
-            if den == 0:
-                continue
-            rx, ry = x2 - x1, y2 - y1
-            n1 = rx * dy2 - ry * dx2
-            n2 = rx * dy1 - ry * dx1
-            if (0 <= n1 <= den and 0 <= n2 <= den) or (den <= n1 <= 0 and den <= n2 <= 0):
-                yield s1, s2, n1, n2, den
+    classes: dict[tuple[int, int], list[int]] = {}
+    for k, (_, _, dx, dy) in enumerate(segs):
+        g = gcd(dx, dy)
+        if g:
+            if dx < 0 or (dx == 0 and dy < 0):
+                g = -g
+            classes.setdefault((dx // g, dy // g), []).append(k)
+    found = []
+    for ((ux, uy), group1), ((vx, vy), group2) in combinations(classes.items(), 2):
+        # the v-segments by alpha, each with its beta interval
+        column = []
+        for k in group2:
+            x, y, dx, dy = segs[k]
+            b0 = ux * y - uy * x
+            b1 = b0 + ux * dy - uy * dx
+            column.append((x * vy - y * vx, min(b0, b1), max(b0, b1), k))
+        column.sort()
+        alphas = [c[0] for c in column]
+        for k1 in group1:
+            x, y, dx, dy = segs[k1]
+            a0 = x * vy - y * vx
+            a1 = a0 + dx * vy - dy * vx
+            if a0 > a1:
+                a0, a1 = a1, a0
+            beta = ux * y - uy * x
+            for j in range(bisect_left(alphas, a0), bisect_right(alphas, a1)):
+                _, lo, hi, k2 = column[j]
+                if not lo <= beta <= hi:
+                    continue
+                s1, s2 = (k1, k2) if k1 < k2 else (k2, k1)
+                if s2 - s1 == 1 or s2 - s1 == m - 1:
+                    continue  # adjacent
+                px, py, pdx, pdy = segs[s1]
+                qx, qy, qdx, qdy = segs[s2]
+                rx, ry = qx - px, qy - py
+                found.append(
+                    (s1, s2, rx * qdy - ry * qdx, rx * pdy - ry * pdx, pdx * qdy - pdy * qdx)
+                )
+    found.sort()
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,23 @@ class TestClosedStdout:
         assert "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
 
+    @pytest.mark.parametrize("command", [["dataset", "get", "7_4"], ["certify", "--c", "4", "4_1"]])
+    def test_stdout_and_stderr_on_one_closed_pipe_exit_4(self, files, command):
+        """As with `latticeknot ... 2>&1 | head`: the diagnostic itself cannot be written."""
+        argv = [files.get(arg, arg) for arg in command]
+        src = str(Path(lk.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "latticeknot.cli", *argv],
+                stdout=write_end, stderr=write_end, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 4
+
 
 class TestRender:
     def test_svg_and_obj(self, files):
@@ -432,6 +449,12 @@ class TestDatasetCommands:
         code, _, _ = run(["dataset", "get"])
         assert code == 64
 
+    def test_list_with_name_is_usage_error(self):
+        code, out, err = run(["dataset", "list", "extra"])
+        assert code == 64
+        assert out == ""
+        assert err.startswith("usage error: ")
+
 
 class TestRandomCommand:
     def test_seed_reproducible(self):
@@ -445,6 +468,14 @@ class TestRandomCommand:
         _, out1, _ = run(["random", "--a", "9", "--seed", "1"])
         _, out2, _ = run(["random", "--a", "9", "--seed", "2"])
         assert out1 != out2
+
+    def test_arc_count_bounded_like_the_pipeline(self):
+        code, out, _ = run(["random", "--a", "64", "--seed", "1"])
+        assert code == 0 and len(json.loads(out)["arcs"]) == 64
+        code, out, err = run(["random", "--a", "65", "--seed", "1"])
+        assert code == 4
+        assert out == ""
+        assert err.startswith("invalid input: ") and "64" in err
 
 
 class TestRoundTrips:

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 import latticeknot as lk
 from latticeknot import LatticePolygon, LatticeStick
 from latticeknot.certify import build_branch
@@ -45,6 +47,27 @@ def unit_square():
     )
 
 
+# a handful of screen directions: antiparallel and scaled copies share a class
+_DIRECTIONS = [(1, 0), (0, 1), (-3, 0), (2, 4), (-1, -2), (3, -1), (-6, 2), (1, 1)]
+
+
+@st.composite
+def few_direction_polylines(draw):
+    """Closed polylines stepping along _DIRECTIONS on a small grid.
+
+    Zero steps repeat a vertex (a zero-length segment); small steps on a
+    few lines give collinear overlaps, endpoint contacts and crossings.
+    """
+    x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    pts = [(x, y)]
+    for _ in range(draw(st.integers(2, 24))):
+        dx, dy = draw(st.sampled_from(_DIRECTIONS))
+        c = draw(st.integers(-2, 2))
+        x, y = x + c * dx, y + c * dy
+        pts.append((x, y))
+    return pts
+
+
 class TestSegmentCrossings:
     def test_transversal_hit_exact(self):
         # segments 0 and 2 cross at (4, 2), t1 = 36/54 and t2 = 18/54;
@@ -85,6 +108,20 @@ class TestSegmentCrossings:
             hits += self.assert_like_reference([_screen(v) for v in verts])
             hits += self.assert_like_reference([(B * x - y, B * B * x - z) for x, y, z in verts])
         assert hits > 10000
+
+    def test_zero_length_segment_skipped(self):
+        # segment 1 repeats the vertex (4, 0): parallel to everything, never
+        # paired.  Segment 2 starts where segment 0 ends (t1 = 1, t2 = 0),
+        # segment 3 crosses segment 0 at (2, 0), and 2 and 4 are parallel
+        pts = [(0, 0), (4, 0), (4, 0), (2, 2), (2, -2)]
+        got = list(segment_crossings(pts))
+        assert got == [(0, 2, 8, 0, 8), (0, 3, -8, -8, -16)]
+        self.assert_like_reference(pts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(few_direction_polylines())
+    def test_few_direction_polylines_like_the_fraction_reference(self, pts):
+        self.assert_like_reference(pts)
 
     def test_integer_kernel_at_coordinates_near_2_to_the_40(self):
         """Generic polylines, and grid ones with shared vertices and collinear overlaps."""
