@@ -148,7 +148,8 @@ def validate(raw_pairs) -> ArcPresentation:
 
     if violations:
         raise PresentationError(violations)
-    return ArcPresentation(tuple((min(i, j), max(i, j)) for i, j in pairs))
+    # a tuple from a list, not a generator; see lattice._polygon
+    return ArcPresentation(tuple([(min(i, j), max(i, j)) for i, j in pairs]))
 
 
 def rotate_pages(P: ArcPresentation, m: int) -> ArcPresentation:

@@ -202,6 +202,12 @@ def construct_auto(
     return poly, cert
 
 
+def require_crossing_number(c: int) -> None:
+    """Raise ValueError unless c can be a crossing number (c >= 1)."""
+    if c < 1:
+        raise ValueError(f"crossing number must be positive, got {c}")
+
+
 def check_bounds(
     cert: ConstructionCertificate,
     c: int,
@@ -215,8 +221,7 @@ def check_bounds(
     gets stick_count <= 3c-5 plus the consistency check c = n^2-1, which
     is reported rather than raised when it fails.
     """
-    if c < 1:
-        raise ValueError(f"crossing number must be positive, got {c}")
+    require_crossing_number(c)
     checks = list(cert.bound_checks)
     s = cert.stick_count
     checks.append(BoundCheck("3c+2", s, 3 * c + 2, s <= 3 * c + 2))

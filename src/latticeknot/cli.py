@@ -24,7 +24,14 @@ from .arc import (
     rotate_pages,
     torus_order_check,
 )
-from .certify import MAX_ARC_COUNT, ArcCountOutOfRangeError, build_branch, check_bounds, construct_auto
+from .certify import (
+    MAX_ARC_COUNT,
+    ArcCountOutOfRangeError,
+    build_branch,
+    check_bounds,
+    construct_auto,
+    require_crossing_number,
+)
 from .diagram import (
     NoGenericDirectionError,
     alexander,
@@ -163,6 +170,7 @@ def _cmd_invariant(args) -> int:
 
 def _cmd_certify(args) -> int:
     P = _load_presentation(args.file)
+    require_crossing_number(args.c)  # check_bounds checks it too, but after the pipeline
     poly, cert = construct_auto(P, check_invariant=not args.skip_invariant)
     cert = check_bounds(cert, args.c, non_alternating_prime=args.non_alternating_prime)
     _print(cert.to_json_obj())
@@ -208,63 +216,84 @@ def _cmd_random(args) -> int:
     return EXIT_OK
 
 
-def _make_parser() -> _Parser:
+_FILE = ("file", {})
+_STORE_TRUE = {"action": "store_true"}
+
+# name -> (handler, help, arguments as (name or flag, add_argument options));
+# one table for the full tree and for a parser holding only the command run
+_COMMANDS = {
+    "validate": (_cmd_validate, "check a presentation and print its canonical JSON", [_FILE]),
+    "dual": (_cmd_dual, "print the dual presentation", [_FILE]),
+    "rotate": (
+        _cmd_rotate,
+        "rotate page numbers and/or binding indices",
+        [
+            ("--pages", dict(type=int, default=None)),
+            ("--bindings", dict(type=int, default=None)),
+            _FILE,
+        ],
+    ),
+    "star": (_cmd_star, "star-shape and torus-order classification", [_FILE]),
+    "build": (
+        _cmd_build,
+        "construct a lattice polygon",
+        [
+            ("--branch", dict(choices=["auto", "basic", "reduced", "nonstar"], default="auto")),
+            ("--out", dict(default=None, help="output file (default stdout)")),
+            _FILE,
+        ],
+    ),
+    "invariant": (
+        _cmd_invariant,
+        "Alexander polynomial and determinant",
+        [
+            ("--jones", dict(_STORE_TRUE, help="also compute the Kauffman bracket Jones form")),
+            ("--pd", dict(_STORE_TRUE, help="include the PD-code lines of the diagram")),
+            ("file", dict(help="presentation or polygon JSON")),
+        ],
+    ),
+    "certify": (
+        _cmd_certify,
+        "run the pipeline and check bounds",
+        [
+            ("--c", dict(type=int, required=True, help="minimal crossing number of the knot")),
+            ("--non-alternating-prime", _STORE_TRUE),
+            ("--skip-invariant", _STORE_TRUE),
+            _FILE,
+        ],
+    ),
+    "render": (
+        _cmd_render,
+        "export SVG and/or OBJ",
+        [
+            ("--svg", dict(default=None)),
+            ("--obj", dict(default=None)),
+            ("file", dict(help="polygon JSON")),
+        ],
+    ),
+    "dataset": (
+        _cmd_dataset,
+        "bundled example knots",
+        [("action", dict(choices=["list", "get"])), ("name", dict(nargs="?"))],
+    ),
+    "random": (
+        _cmd_random,
+        "print a seeded random presentation",
+        [("--a", dict(type=int, required=True)), ("--seed", dict(type=int, default=0))],
+    ),
+}
+
+
+def _make_parser(command: str | None = None) -> _Parser:
+    """The parser with only `command`'s subparser when it names one, else the full tree."""
     parser = _Parser(prog="latticeknot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a presentation and print its canonical JSON")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("dual", help="print the dual presentation")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_dual)
-
-    p = sub.add_parser("rotate", help="rotate page numbers and/or binding indices")
-    p.add_argument("--pages", type=int, default=None)
-    p.add_argument("--bindings", type=int, default=None)
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_rotate)
-
-    p = sub.add_parser("star", help="star-shape and torus-order classification")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_star)
-
-    p = sub.add_parser("build", help="construct a lattice polygon")
-    p.add_argument("--branch", choices=["auto", "basic", "reduced", "nonstar"], default="auto")
-    p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("invariant", help="Alexander polynomial and determinant")
-    p.add_argument("--jones", action="store_true", help="also compute the Kauffman bracket Jones form")
-    p.add_argument("--pd", action="store_true", help="include the PD-code lines of the diagram")
-    p.add_argument("file", help="presentation or polygon JSON")
-    p.set_defaults(func=_cmd_invariant)
-
-    p = sub.add_parser("certify", help="run the pipeline and check bounds")
-    p.add_argument("--c", type=int, required=True, help="minimal crossing number of the knot")
-    p.add_argument("--non-alternating-prime", action="store_true")
-    p.add_argument("--skip-invariant", action="store_true")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("render", help="export SVG and/or OBJ")
-    p.add_argument("--svg", default=None)
-    p.add_argument("--obj", default=None)
-    p.add_argument("file", help="polygon JSON")
-    p.set_defaults(func=_cmd_render)
-
-    p = sub.add_parser("dataset", help="bundled example knots")
-    p.add_argument("action", choices=["list", "get"])
-    p.add_argument("name", nargs="?")
-    p.set_defaults(func=_cmd_dataset)
-
-    p = sub.add_parser("random", help="print a seeded random presentation")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_random)
-
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        func, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -284,7 +313,15 @@ def _diagnose(message: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _make_parser()
+    """Run one command; argv defaults to sys.argv[1:] and the result is the exit code.
+
+    Each call builds one subparser, the one named by argv[0]; the full tree
+    of commands is built only when argv[0] names none (no command, -h or
+    --help, or an unknown command), so usage errors and help read the same.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _make_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -7,14 +7,16 @@ polynomial of a Wirtinger minor, the knot determinant, and an optional
 Kauffman-bracket Jones polynomial.  Reidemeister simplification and the
 Wirtinger minor read only the Gauss word (the passages in traversal order)
 and the crossing signs; faces() walks the planar map but is not on the
-certify path.  The Alexander determinant is one
-sparse fraction-free Bareiss elimination over Z after Kronecker
-substitution: the nonzero Laurent entries are packed into integers at
-t = 2**bits, where bits comes from a Hadamard bound on the coefficients of
-every minor, and the polynomial is read back from the balanced base-2**bits
-digits.  A Wirtinger row has at most 3 nonzeros, so pivots follow
-Markowitz's rule and a step rewrites only the rows with a nonzero in the
-pivot column; the others are rescaled lazily, when they are next touched.
+certify path.  The Wirtinger minor is written straight from the Gauss
+word as sparse integer rows {column: {exponent: coeff}}, at most 3
+nonzeros a row, and the Alexander determinant is one sparse fraction-free
+Bareiss elimination over Z after Kronecker substitution: the entries are
+packed into integers at t = 2**bits, where bits comes from a Hadamard
+bound on the coefficients of every minor, and the polynomial is read back
+from the balanced base-2**bits digits.  Pivots follow Markowitz's rule and
+a step rewrites only the rows with a nonzero in the pivot column; the
+others are rescaled lazily, when they are next touched.  A
+LaurentPolynomial is built only for the result.
 """
 
 from __future__ import annotations
@@ -165,7 +167,8 @@ def _assemble(events: list[tuple[object, bool]], signs: dict) -> PlanarDiagram:
             )
         )
     index_of = {key: k for k, key in enumerate(passages)}
-    gauss = tuple((index_of[key], "O" if over else "U") for key, over in events)
+    # a tuple from a list, not a generator; see lattice._polygon
+    gauss = tuple([(index_of[key], "O" if over else "U") for key, over in events])
     return PlanarDiagram(tuple(crossings), total, gauss)
 
 
@@ -460,15 +463,19 @@ def simplify_diagram(d: PlanarDiagram) -> PlanarDiagram:
 # Alexander polynomial, determinant, Kauffman bracket
 
 
-def _bareiss_det(mat: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
+def _bareiss_det(rows: list[dict[int, dict[int, int]]]) -> LaurentPolynomial:
     """Determinant by one sparse fraction-free elimination over Z at t = 2**bits.
 
-    Kronecker substitution: each row is shifted by its minimal exponent
-    (det picks up t**s, s the total shift), every nonzero entry is packed
+    The n x n matrix comes as n sparse rows {column: {exponent: coeff}}
+    over columns 0..n-1; an absent column is a zero entry, and every entry
+    present must hold a nonzero coefficient (an empty entry is a caller
+    bug).  Kronecker substitution: each row is shifted by its minimal
+    exponent (det picks up t**s, s the total shift), every entry is packed
     into the integer a_ij(X) with X = 2**bits, the elimination runs on
-    plain ints held as one dict (column -> entry) per row, and the
+    plain ints held as one dict (column -> entry) per row, in increasing
+    column order whatever order the input row lists them in, and the
     coefficients of the polynomial determinant are read back as balanced
-    base-X digits.
+    base-X digits; that result is the only LaurentPolynomial built.
 
     Coefficient bound.  Let H2 = prod_i sum_j |a_ij|_1**2, with |a|_1 the sum
     of the absolute coefficients.  On |t| = 1, |a_ij(t)| <= |a_ij|_1, so
@@ -502,25 +509,24 @@ def _bareiss_det(mat: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
     T[j]) / p_{l_i}, and l_i <- k.  Every division is exact by Sylvester's
     identity; a remainder raises InternalInvariantError.
     """
-    n = len(mat)
+    n = len(rows)
     if n == 0:
         return LaurentPolynomial.one()
     shift = 0
     h2 = 1
-    packed = []
-    for row in mat:
-        terms = [(j, p.items()) for j, p in enumerate(row) if not p.is_zero]
-        if not terms:
+    lows = []
+    for row in rows:
+        if not row:
             return LaurentPolynomial.zero()
-        low = min(its[0][0] for _, its in terms)
+        low = min(min(entry) for entry in row.values())
         shift += low
-        h2 *= sum(sum(abs(c) for _, c in its) ** 2 for _, its in terms)
-        packed.append((low, terms))
+        h2 *= sum(sum(abs(c) for c in entry.values()) ** 2 for entry in row.values())
+        lows.append(low)
     bits = (2 * isqrt(h2)).bit_length()
-    # the rows not yet used as pivot rows, each a dict column -> entry
-    rows = {
-        i: {j: sum(c << bits * (e - low) for e, c in its) for j, its in terms}
-        for i, (low, terms) in enumerate(packed)
+    # the rows not yet used as pivot rows, each a dict column -> packed entry
+    live = {
+        i: {j: sum(c << bits * (e - low) for e, c in row[j].items()) for j in sorted(row)}
+        for i, (row, low) in enumerate(zip(rows, lows))
     }
 
     def exact(num: int, den: int) -> int:
@@ -529,8 +535,8 @@ def _bareiss_det(mat: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
             raise InternalInvariantError(f"Bareiss division by pivot {den} is not exact")
         return q
 
-    where: dict[int, set[int]] = {}  # column -> rows in `rows` with a nonzero there
-    for i, row in rows.items():
+    where: dict[int, set[int]] = {}  # column -> rows in `live` with a nonzero there
+    for i, row in live.items():
         for j in row:
             where.setdefault(j, set()).add(i)
     tags = [0] * n
@@ -538,7 +544,7 @@ def _bareiss_det(mat: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
     row_order, col_order = [], []
     for k in range(1, n + 1):
         cost = n * n
-        for i, row in rows.items():
+        for i, row in live.items():
             fill = len(row) - 1
             for j in row:
                 here = fill * (len(where[j]) - 1)
@@ -548,7 +554,7 @@ def _bareiss_det(mat: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
                 break
         row_order.append(r)
         col_order.append(c)
-        top = rows.pop(r)
+        top = live.pop(r)
         for j in top:
             where[j].discard(r)
         if tags[r] != k - 1:  # catch up: T = S_r * p_{k-1} / p_{l_r}
@@ -556,8 +562,8 @@ def _bareiss_det(mat: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
             top = {j: exact(v * prev, lag) for j, v in top.items()}
         pivot = top.pop(c)
         for i in where.pop(c):
-            s = rows[i].pop(c)
-            new = {j: v * pivot for j, v in rows[i].items()}
+            s = live[i].pop(c)
+            new = {j: v * pivot for j, v in live[i].items()}
             for j, v in top.items():
                 if j in new:
                     new[j] -= s * v
@@ -574,7 +580,7 @@ def _bareiss_det(mat: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
                     where[j].discard(i)
             if not row:
                 return LaurentPolynomial.zero()
-            rows[i] = row
+            live[i] = row
             tags[i] = k
         pivots.append(pivot)
     value = -pivots[n] if _is_odd(row_order) != _is_odd(col_order) else pivots[n]
@@ -607,8 +613,9 @@ def _is_odd(perm: list[int]) -> bool:
     return (len(perm) - cycles) % 2 == 1
 
 
-def _wirtinger_minor(d: PlanarDiagram) -> list[list[LaurentPolynomial]]:
-    """Wirtinger matrix of a diagram with n >= 2 crossings, last row and column dropped.
+def _wirtinger_minor(d: PlanarDiagram) -> list[dict[int, dict[int, int]]]:
+    """Wirtinger matrix of a diagram with n >= 2 crossings, last row and column
+    dropped, as n-1 sparse rows {column: {exponent: coeff}} for _bareiss_det.
 
     One walk over the Gauss word.  Arcs break at under passages: arc k
     (0-based) starts after the (k+1)-th one, so the edges before the first
@@ -616,32 +623,52 @@ def _wirtinger_minor(d: PlanarDiagram) -> list[list[LaurentPolynomial]]:
     Row r is crossing r's relation.  A positive crossing puts 1-t on the
     over arc, t on the incoming under arc and -1 on the outgoing one;
     negative rows use the inverse relation (scaled by t to stay integral).
+    A kink puts its over arc on one of its under arcs; the term that
+    cancels there is dropped, so every emitted entry is nonzero with only
+    nonzero coefficients.
     """
     n = d.n
-    one = LaurentPolynomial.one()
-    t = LaurentPolynomial.t_power(1)
-    rows = [[LaurentPolynomial.zero()] * n for _ in range(n)]
-    arc = n - 1
+    last = n - 1
+    rows: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+
+    def add(row: dict[int, dict[int, int]], j: int, e: int, c: int) -> None:
+        entry = row.setdefault(j, {})
+        c += entry.get(e, 0)
+        if c:
+            entry[e] = c
+        else:
+            # a kink's t or 1 term; the entry keeps its other term, since
+            # a crossing's over, in and out arcs coincide only when n = 1
+            del entry[e]
+
+    positive = [c.sign > 0 for c in d.crossings]
+    arc = last
     for ci, role in d.gauss:
         row = rows[ci]
-        positive = d.crossings[ci].sign > 0
         if role == "O":
-            row[arc] = row[arc] + (one - t if positive else t - one)
+            up = 1 if positive[ci] else -1  # 1-t, or t-1
+            add(row, arc, 0, up)
+            add(row, arc, 1, -up)
         else:
-            row[arc] = row[arc] + (t if positive else one)
+            add(row, arc, 1 if positive[ci] else 0, 1)
             arc = (arc + 1) % n
-            row[arc] = row[arc] - (one if positive else t)
-    return [row[: n - 1] for row in rows[: n - 1]]
+            add(row, arc, 0 if positive[ci] else 1, -1)
+    minor = rows[:last]
+    for row in minor:
+        row.pop(last, None)
+    return minor
 
 
 def alexander(D: PlanarDiagram, *, presimplify: bool = True) -> LaurentPolynomial:
     """Canonical Alexander polynomial via a Wirtinger matrix minor.
 
-    The determinant of the minor (_wirtinger_minor) is one sparse
-    fraction-free Bareiss elimination over the integers after Kronecker
-    substitution t = 2**bits, with pivots in Markowitz order and lazily
-    scaled rows; bits is fixed by the Hadamard bound on the coefficients of
-    every minor, so the polynomial is recovered exactly (_bareiss_det).
+    The minor comes as sparse integer rows straight from the Gauss word
+    (_wirtinger_minor).  Its determinant is one sparse fraction-free
+    Bareiss elimination over the integers after Kronecker substitution
+    t = 2**bits, with pivots in Markowitz order and lazily scaled rows;
+    bits is fixed by the Hadamard bound on the coefficients of every minor,
+    so the polynomial is recovered exactly (_bareiss_det).  The diagram is
+    first reduced by simplify_diagram unless presimplify is False.
     """
     d = simplify_diagram(D) if presimplify else D
     if d.n <= 1:

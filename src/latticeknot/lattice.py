@@ -192,9 +192,9 @@ def require_valid(poly: LatticePolygon) -> LatticePolygon:
     return poly
 
 
-def _step(p: Point, q: Point) -> tuple[int, ...]:
+def _step(p: Point, q: Point) -> list[int]:
     """Sign of q - p in each coordinate."""
-    return tuple((v > u) - (v < u) for u, v in zip(p, q))
+    return [(v > u) - (v < u) for u, v in zip(p, q)]
 
 
 def _polygon(cycle: list[Point]) -> LatticePolygon:
@@ -223,7 +223,10 @@ def _polygon(cycle: list[Point]) -> LatticePolygon:
     m = len(sticks)
     start = min(range(m), key=lambda k: (sticks[k].axis, sticks[k].c1, sticks[k].c2, sticks[k].lo))
     step = 1 if pts[start] == sticks[start].endpoints()[0] else -1
-    return LatticePolygon(tuple(sticks[(start + step * t) % m] for t in range(m)))
+    # tuples from lists, not generators, on the certify path: tuple() of a
+    # generator grows its result by resizing, and each resized tuple is later
+    # parked on the free list of its final size until a full gc collection
+    return LatticePolygon(tuple([sticks[(start + step * t) % m] for t in range(m)]))
 
 
 def _checked(cycle: list[Point], sticks: int | None = None) -> LatticePolygon:

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, canonical JSON output."""
 
+import argparse
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import latticeknot as lk
-from latticeknot.cli import main
+from latticeknot.cli import _make_parser, _UsageError, main
 
 
 def run(argv, stdin_text=None):
@@ -95,6 +96,82 @@ class TestBasicCommands:
     def test_missing_file_exit_4(self):
         code, _, err = run(["validate", "/nonexistent/x.json"])
         assert code == 4
+
+
+# per command: argv that parses, and argv that is a usage error
+_PARSER_CASES = {
+    "validate": (["f.json"], []),
+    "dual": (["f.json"], ["a.json", "b.json"]),
+    "rotate": (["--pages", "2", "--bindings", "-1", "f.json"], ["--pages", "x", "f.json"]),
+    "star": (["f.json"], ["--nope", "f.json"]),
+    "build": (["--branch", "nonstar", "--out", "o.json", "f.json"], ["--branch", "best", "f.json"]),
+    "invariant": (["--jones", "--pd", "f.json"], ["--jones-cap", "48", "f.json"]),
+    "certify": (["--c", "4", "--non-alternating-prime", "--skip-invariant", "f.json"], ["f.json"]),
+    "render": (["--svg", "a.svg", "--obj", "a.obj", "f.json"], []),
+    "dataset": (["get", "4_1"], ["show"]),
+    "random": (["--a", "7", "--seed", "3"], ["--a", "x"]),
+}
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def _usage_error(parser, argv):
+    with pytest.raises(_UsageError) as info:
+        parser.parse_args(argv)
+    return str(info.value)
+
+
+class TestParser:
+    """main builds only the named command's subparser; it must parse like the full tree."""
+
+    def test_full_tree_has_every_command(self):
+        assert _subcommands(_make_parser()) == list(_PARSER_CASES)
+
+    @pytest.mark.parametrize("command", list(_PARSER_CASES))
+    def test_one_subparser_parses_like_the_full_tree(self, command):
+        good, bad = _PARSER_CASES[command]
+        one, full = _make_parser(command), _make_parser()
+        assert _subcommands(one) == [command]
+        args = one.parse_args([command, *good])
+        assert args == full.parse_args([command, *good])
+        assert args.command == command
+        assert _usage_error(one, [command, *bad]) == _usage_error(full, [command, *bad])
+
+    def test_help_lists_every_command(self):
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert out.getvalue().startswith("usage: latticeknot [-h]")
+        for command in _PARSER_CASES:
+            assert f"\n    {command} " in out.getvalue()
+
+    @pytest.mark.parametrize("command", list(_PARSER_CASES))
+    def test_command_help_names_the_command(self, command):
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        assert out.getvalue().startswith(f"usage: latticeknot {command} ")
+
+    def test_unknown_command_exit_64_with_invalid_choice(self):
+        code, out, err = run(["nope"])
+        assert code == 64
+        assert out == ""
+        assert err == f"usage error: {_usage_error(_make_parser(), ['nope'])}\n"
+        assert "invalid choice: 'nope'" in err
+
+    def test_no_command_exit_64(self):
+        code, _, err = run([])
+        assert code == 64
+        assert err == f"usage error: {_usage_error(_make_parser(), [])}\n"
+
+    def test_argv_defaults_to_sys_argv(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["latticeknot", "random", "--a", "7", "--seed", "3"])
+        assert run(None) == run(["random", "--a", "7", "--seed", "3"])
 
 
 class TestBuildInvariant:
@@ -200,6 +277,19 @@ class TestCertifyExitCodes:
     def test_invalid_input_exit_4(self, files):
         code, _, _ = run(["certify", files["bad"], "--c", "3"])
         assert code == 4
+
+    @pytest.mark.parametrize("c", ["0", "-3"])
+    def test_crossing_number_below_1_exit_4_before_the_pipeline(self, files, monkeypatch, c):
+        import latticeknot.cli as cli_mod
+
+        def pipeline_must_not_run(P, **kwargs):
+            raise AssertionError("construct_auto called for a crossing number below 1")
+
+        monkeypatch.setattr(cli_mod, "construct_auto", pipeline_must_not_run)
+        code, out, err = run(["certify", files["4_1"], "--c", c])
+        assert code == 4
+        assert out == ""
+        assert err == f"invalid input: crossing number must be positive, got {c}\n"
 
     def test_invariant_mismatch_exit_3(self, files, monkeypatch):
         import latticeknot.cli as cli_mod

@@ -147,6 +147,11 @@ def reference_wirtinger_minor(d):
     return [row[: n - 1] for row in rows[: n - 1]]
 
 
+def sparse_rows(mat):
+    """The sparse rows {column: {exponent: coeff}} of a dense LaurentPolynomial matrix."""
+    return [{j: dict(p.items()) for j, p in enumerate(row) if not p.is_zero} for row in mat]
+
+
 def grid_and_output(a, seed):
     P = lk.random_presentation(a, random.Random(seed))
     poly, _ = lk.construct_auto(P, check_invariant=False)
@@ -165,7 +170,7 @@ class TestGaussWordStages:
             assert lk.alexander(S, presimplify=False) == lk.alexander(R, presimplify=False)
             for d in (D, S, R):
                 if d.n > 1:
-                    assert _wirtinger_minor(d) == reference_wirtinger_minor(d)
+                    assert _wirtinger_minor(d) == sparse_rows(reference_wirtinger_minor(d))
 
     @pytest.mark.parametrize("a", [48, 64])
     def test_reach_at_large_a(self, a):
@@ -176,6 +181,37 @@ class TestGaussWordStages:
             assert S.check() == []
             assert S.n <= D.n
             assert reference_simplify_diagram(S).n == S.n
+
+
+@st.composite
+def kinked_diagrams(draw):
+    """Unsimplified grid diagrams with 2..5 Reidemeister I kinks of either sign
+    spliced into the Gauss word, each as two consecutive passages."""
+    P = lk.random_presentation(draw(st.integers(5, 9)), random.Random(draw(st.integers(0, 2**16))))
+    D = lk.arc_to_planar(P)
+    events = [(ci, role == "O") for ci, role in D.gauss]
+    signs = {ci: c.sign for ci, c in enumerate(D.crossings)}
+    for k in range(draw(st.integers(2, 5))):
+        over = draw(st.booleans())
+        j = draw(st.integers(0, len(events)))
+        events[j:j] = [(("kink", k), over), (("kink", k), not over)]
+        signs["kink", k] = draw(st.sampled_from([1, -1]))
+    return _assemble(events, signs)
+
+
+class TestSparseMinor:
+    @settings(max_examples=100, deadline=None)
+    @given(kinked_diagrams())
+    def test_kinks_emit_only_nonzero_entries(self, D):
+        assert D.check() == [] and D.n >= 2
+        rows = _wirtinger_minor(D)
+        assert len(rows) == D.n - 1
+        for row in rows:
+            for j, entry in row.items():
+                assert 0 <= j < D.n - 1
+                assert entry and all(entry.values())
+        assert rows == sparse_rows(reference_wirtinger_minor(D))
+        assert lk.alexander(D, presimplify=False) == lk.alexander(D)
 
 
 class TestAlexander:
@@ -243,7 +279,7 @@ class TestBareiss:
         for size in range(6):
             for _ in range(15):
                 mat = self.random_matrix(rng, size)
-                assert _bareiss_det(mat) == cofactor_det(mat)
+                assert _bareiss_det(sparse_rows(mat)) == cofactor_det(mat)
 
     def test_zero_leading_pivot_swaps_rows(self):
         rng = random.Random(49)
@@ -253,8 +289,8 @@ class TestBareiss:
                 mat[0][0] = LP.zero()
                 mat[1][0] = LP.t_power(-1) - LP.one()  # a nonzero pivot below
                 want = cofactor_det(mat)
-                assert _bareiss_det(mat) == want
-                assert _bareiss_det(mat[1:2] + mat[:1] + mat[2:]) == -want
+                assert _bareiss_det(sparse_rows(mat)) == want
+                assert _bareiss_det(sparse_rows(mat[1:2] + mat[:1] + mat[2:])) == -want
 
     def test_singular_is_zero(self):
         rng = random.Random(50)
@@ -266,7 +302,7 @@ class TestBareiss:
                 last_row_scaled = mat[:-1] + [[multiple * e for e in mat[0]]]
                 for singular in (zero_column, last_row_scaled):
                     assert cofactor_det(singular).is_zero
-                    assert _bareiss_det(singular).is_zero
+                    assert _bareiss_det(sparse_rows(singular)).is_zero
 
 
 laurent_entries = st.one_of(
@@ -302,7 +338,7 @@ class TestMarkowitzOrder:
     @settings(max_examples=150, deadline=None)
     @given(sparse_matrices())
     def test_matches_cofactor_expansion(self, mat):
-        assert _bareiss_det(mat) == cofactor_det(mat)
+        assert _bareiss_det(sparse_rows(mat)) == cofactor_det(mat)
 
     @settings(max_examples=100, deadline=None)
     @given(sparse_matrices(), st.randoms(use_true_random=False))
@@ -317,7 +353,7 @@ class TestMarkowitzOrder:
         want = cofactor_det(mat)
         if odd_by_inversions(rows) != odd_by_inversions(cols):
             want = -want
-        assert _bareiss_det(permuted) == want
+        assert _bareiss_det(sparse_rows(permuted)) == want
 
 
 def sparse_bareiss_det(mat):
@@ -364,8 +400,9 @@ class TestKroneckerBareiss:
             for D in (lk.arc_to_planar(P), lk.project_polygon(poly)):
                 d = lk.simplify_diagram(D)
                 if d.n > 1:
-                    mat = _wirtinger_minor(d)
-                    assert _bareiss_det(mat) == sparse_bareiss_det(mat)
+                    mat = reference_wirtinger_minor(d)
+                    assert _wirtinger_minor(d) == sparse_rows(mat)
+                    assert _bareiss_det(sparse_rows(mat)) == sparse_bareiss_det(mat)
             checked += 1
 
     @pytest.mark.parametrize("size", [2, 4, 8])
@@ -382,11 +419,11 @@ class TestKroneckerBareiss:
             plain = [[LP({0: negate * x}) for x in row] for row in base]
             by_rows = [[LP({row_exps[i]: negate * x}) for x in row] for i, row in enumerate(base)]
             by_cols = [[LP({col_exps[j]: negate * x}) for j, x in enumerate(row)] for row in base]
-            want = _bareiss_det(plain)
+            want = _bareiss_det(sparse_rows(plain))
             assert want in (LP({0: peak}), LP({0: -peak}))
             assert want == sparse_bareiss_det(plain)
-            assert _bareiss_det(by_rows) == want.shifted(sum(row_exps))
-            assert _bareiss_det(by_cols) == want.shifted(sum(col_exps))
+            assert _bareiss_det(sparse_rows(by_rows)) == want.shifted(sum(row_exps))
+            assert _bareiss_det(sparse_rows(by_cols)) == want.shifted(sum(col_exps))
 
 
 class TestDeterminant:
