@@ -143,7 +143,7 @@ def build_branch(P: ArcPresentation, branch: str) -> tuple[str, LatticePolygon]:
     if branch == "basic":
         return branch, construct_basic(P)
     if branch in ("reduced", "torus-star"):
-        return branch, reduce_ends(construct_basic(P), P)
+        return branch, reduce_ends(P)
     if branch == "dual-nonstar":
         P = dual(P)
         if is_star_shaped(P):

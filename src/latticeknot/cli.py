@@ -182,13 +182,13 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if not args.svg and not args.obj:
+        raise _UsageError("render needs --svg and/or --obj")
     poly = require_valid(polygon_from_obj(_read_json(args.file)))
     if args.svg:
         _write_text(args.svg, render_svg(poly))
     if args.obj:
         _write_text(args.obj, render_obj(poly))
-    if not args.svg and not args.obj:
-        raise _UsageError("render needs --svg and/or --obj")
     return EXIT_OK
 
 

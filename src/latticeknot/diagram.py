@@ -4,9 +4,11 @@ Diagrams come from two sources: the grid picture of an arc presentation
 (vertical strands over horizontal, the standard grid convention) and exact
 generic projections of 3-D lattice polygons.  Invariants: Alexander
 polynomial of a Wirtinger minor, the knot determinant, and an optional
-Kauffman-bracket Jones polynomial.  Reidemeister simplification and the
-Wirtinger minor read only the Gauss word (the passages in traversal order)
-and the crossing signs; faces() walks the planar map but is not on the
+Kauffman-bracket Jones polynomial.  A PlanarDiagram stores only its Gauss
+word (the passages in traversal order) and its crossing signs; passage j
+leaves on edge j, and edge 2n enters passage 1.  Simplification and the
+Wirtinger minor read only these.  The PD-style Crossing list is derived
+on demand for pd_code_text(), faces() and the Kauffman bracket, off the
 certify path.  The Wirtinger minor is written straight from the Gauss
 word as sparse integer rows {column: {exponent: coeff}}, at most 3
 nonzeros a row, and the Alexander determinant is one sparse fraction-free
@@ -68,39 +70,40 @@ class Crossing:
 
 @dataclass(frozen=True)
 class PlanarDiagram:
-    """Crossing list plus the closed traversal that produced it.
+    """A knot diagram stored as its Gauss word and its crossing signs.
 
-    Edges are numbered 1..n_edges along the traversal; gauss holds
-    (crossing index, "O" or "U") per passage, in traversal order.
+    gauss holds (crossing index, "O" or "U") per passage, in traversal
+    order, and signs[k] is crossing k's sign.  Edges are numbered 1..2n
+    along the traversal: passage j (1-based) leaves on edge j, and edge 2n
+    enters passage 1.  crossings derives the edge labels from these.
     """
 
-    crossings: tuple[Crossing, ...]
-    n_edges: int
     gauss: tuple[tuple[int, str], ...]
+    signs: tuple[int, ...]
 
     @property
     def n(self) -> int:
-        return len(self.crossings)
+        return len(self.signs)
+
+    @property
+    def crossings(self) -> tuple[Crossing, ...]:
+        """One Crossing per crossing, labelled by its over and under passages."""
+        total = len(self.gauss)
+        over, under = [0] * self.n, [0] * self.n
+        for j, (ci, role) in enumerate(self.gauss, start=1):
+            (over if role == "O" else under)[ci] = j
+        # Crossing(over_in, over_out, under_in, under_out, sign)
+        return tuple(
+            Crossing(jo - 1 or total, jo, ju - 1 or total, ju, s)
+            for jo, ju, s in zip(over, under, self.signs)
+        )
 
     def check(self) -> list[str]:
         """Diagram invariant violations; empty when consistent."""
         problems = []
         n = self.n
-        if n == 0:
-            if self.gauss:
-                problems.append("crossing-free diagram has gauss events")
-            return problems
-        if self.n_edges != 2 * n:
-            problems.append(f"n_edges {self.n_edges} != 2n = {2 * n}")
         if len(self.gauss) != 2 * n:
             problems.append(f"gauss length {len(self.gauss)} != 2n = {2 * n}")
-        seen: dict[int, int] = {}
-        for c in self.crossings:
-            for e in (c.over_in, c.over_out, c.under_in, c.under_out):
-                seen[e] = seen.get(e, 0) + 1
-        bad = {e: k for e, k in seen.items() if k != 2}
-        if bad or set(seen) != set(range(1, 2 * n + 1)):
-            problems.append(f"edge labels not each used twice: {sorted(bad.items())}")
         roles: dict[int, set[str]] = {}
         for ci, role in self.gauss:
             roles.setdefault(ci, set()).add(role)
@@ -110,18 +113,8 @@ class PlanarDiagram:
 
     def mirror(self) -> "PlanarDiagram":
         """Swap over and under everywhere (mirror image diagram)."""
-        flipped = tuple(
-            Crossing(
-                over_in=c.under_in,
-                over_out=c.under_out,
-                under_in=c.over_in,
-                under_out=c.over_out,
-                sign=-c.sign,
-            )
-            for c in self.crossings
-        )
-        gauss = tuple((ci, "U" if role == "O" else "O") for ci, role in self.gauss)
-        return PlanarDiagram(flipped, self.n_edges, gauss)
+        gauss = tuple([(ci, "U" if role == "O" else "O") for ci, role in self.gauss])
+        return PlanarDiagram(gauss, tuple([-s for s in self.signs]))
 
     def pd_code_text(self) -> str:
         return "\n".join("X({},{},{},{})".format(*c.pd) for c in self.crossings)
@@ -136,40 +129,24 @@ def _assemble(events: list[tuple[object, bool]], signs: dict) -> PlanarDiagram:
 
     Every key must occur exactly twice, once over and once under; signs
     maps it to the crossing's sign.  Crossings are numbered in order of
-    first passage.  Edge j follows event j; the edge entering event 1 is
-    edge 2n.
+    first passage.
     """
-    total = len(events)
-    if total == 0:
-        return PlanarDiagram((), 1, ())
-    if total % 2:
-        raise InternalInvariantError("odd number of crossing passages")
-
-    def in_edge(j: int) -> int:
-        return j - 1 if j > 1 else total
-
-    passages: dict[object, list[tuple[bool, int]]] = {}
-    for j, (key, over) in enumerate(events, start=1):
-        passages.setdefault(key, []).append((over, j))
-
-    crossings = []
-    for key, ps in passages.items():
-        if len(ps) != 2 or ps[0][0] == ps[1][0]:
+    index: dict[object, int] = {}
+    first: list[bool | None] = []  # a crossing's first role, None once passed twice
+    gauss = []
+    for key, over in events:
+        k = index.setdefault(key, len(first))
+        if k == len(first):
+            first.append(over)
+        elif first[k] is None or first[k] == over:
             raise InternalInvariantError(f"crossing {key} needs one over and one under passage")
-        (_, ju), (_, jo) = sorted(ps)
-        crossings.append(
-            Crossing(
-                over_in=in_edge(jo),
-                over_out=jo,
-                under_in=in_edge(ju),
-                under_out=ju,
-                sign=signs[key],
-            )
-        )
-    index_of = {key: k for k, key in enumerate(passages)}
-    # a tuple from a list, not a generator; see lattice._polygon
-    gauss = tuple([(index_of[key], "O" if over else "U") for key, over in events])
-    return PlanarDiagram(tuple(crossings), total, gauss)
+        else:
+            first[k] = None
+        gauss.append((k, "O" if over else "U"))
+    for key, role in zip(index, first):
+        if role is not None:
+            raise InternalInvariantError(f"crossing {key} needs one over and one under passage")
+    return PlanarDiagram(tuple(gauss), tuple([signs[key] for key in index]))
 
 
 def segment_crossings(pts: list[tuple[int, int]]) -> list[tuple[int, int, int, int, int]]:
@@ -456,7 +433,7 @@ def simplify_diagram(d: PlanarDiagram) -> PlanarDiagram:
         if bigon is None:
             break
         events = [ev for ev in events if ev[0] not in bigon]
-    return _assemble(events, {ci: c.sign for ci, c in enumerate(d.crossings)})
+    return _assemble(events, dict(enumerate(d.signs)))
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +618,7 @@ def _wirtinger_minor(d: PlanarDiagram) -> list[dict[int, dict[int, int]]]:
             # a crossing's over, in and out arcs coincide only when n = 1
             del entry[e]
 
-    positive = [c.sign > 0 for c in d.crossings]
+    positive = [s > 0 for s in d.signs]
     arc = last
     for ci, role in d.gauss:
         row = rows[ci]
@@ -692,16 +669,15 @@ def jones_kauffman(D: PlanarDiagram) -> LaurentPolynomial:
         raise CrossingCapExceededError(f"{n} crossings exceeds cap {JONES_CAP}")
     if n == 0:
         return LaurentPolynomial.one()
-    writhe = sum(c.sign for c in D.crossings)
+    writhe = sum(D.signs)
     delta = LaurentPolynomial({2: -1, -2: -1})
     delta_pow = [LaurentPolynomial.one()]
     for _ in range(n + 1):
         delta_pow.append(delta_pow[-1] * delta)
     pds = [c.pd for c in D.crossings]
-    n_edges = D.n_edges
     bracket = LaurentPolynomial.zero()
     for state in range(1 << n):
-        parent = list(range(n_edges + 1))
+        parent = list(range(2 * n + 1))
 
         def find(x):
             while parent[x] != x:
@@ -723,7 +699,7 @@ def jones_kauffman(D: PlanarDiagram) -> LaurentPolynomial:
             else:
                 union(ea, ed)
                 union(eb, ec)
-        loops = sum(1 for e in range(1, n_edges + 1) if find(e) == e)
+        loops = sum(1 for e in range(1, 2 * n + 1) if find(e) == e)
         term = LaurentPolynomial.t_power(a_count - (n - a_count))
         bracket = bracket + term * delta_pow[loops - 1]
     corrected = bracket.shifted(-3 * writhe)

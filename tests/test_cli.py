@@ -422,6 +422,13 @@ class TestRender:
         code, _, _ = run(["render", poly_path])
         assert code == 64
 
+    def test_render_usage_is_checked_before_the_file_is_read(self):
+        # like rotate: a usage error is reported before FILE is opened
+        for command in (["render"], ["rotate"]):
+            code, out, err = run([*command, "/nonexistent/x.json"])
+            assert code == 64, command
+            assert out == "" and "Traceback" not in err
+
     def test_obj_counts_match_sticks(self, files):
         poly_path = str(files["dir"] / "p3.json")
         run(["build", files["4_1"], "--out", poly_path])

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import latticeknot as lk
 from latticeknot import LaurentPolynomial as LP
-from latticeknot.diagram import _assemble, _bareiss_det, _wirtinger_minor
+from latticeknot import dataset, diagram
+from latticeknot.diagram import Crossing, _assemble, _bareiss_det, _wirtinger_minor
 
 from conftest import star_in_order, torus_alexander
 
@@ -491,3 +492,97 @@ class TestPDCode:
         M = D.mirror()
         assert [c.sign for c in M.crossings] == [-c.sign for c in D.crossings]
         assert M.mirror() == D
+
+
+def reference_assemble(events, signs):
+    """Reference: one Crossing per key from its sorted passages, as
+    (crossings, gauss); edge j follows event j and edge 2n enters event 1."""
+    total = len(events)
+    passages = {}
+    for j, (key, over) in enumerate(events, start=1):
+        passages.setdefault(key, []).append((over, j))
+    crossings = []
+    for key, ps in passages.items():
+        assert len(ps) == 2 and ps[0][0] != ps[1][0]
+        (_, ju), (_, jo) = sorted(ps)
+        crossings.append(
+            Crossing(
+                over_in=jo - 1 if jo > 1 else total,
+                over_out=jo,
+                under_in=ju - 1 if ju > 1 else total,
+                under_out=ju,
+                sign=signs[key],
+            )
+        )
+    index_of = {key: k for k, key in enumerate(passages)}
+    gauss = tuple((index_of[key], "O" if over else "U") for key, over in events)
+    return tuple(crossings), gauss
+
+
+def reference_mirror(crossings, gauss):
+    flipped = tuple(
+        Crossing(c.under_in, c.under_out, c.over_in, c.over_out, -c.sign) for c in crossings
+    )
+    return flipped, tuple((ci, "U" if role == "O" else "O") for ci, role in gauss)
+
+
+def assert_matches_reference(d, crossings, gauss):
+    assert d.crossings == crossings
+    assert d.pd_code_text() == "\n".join("X({},{},{},{})".format(*c.pd) for c in crossings)
+    assert d.gauss == gauss
+    assert d.signs == tuple(c.sign for c in crossings)
+    assert d.check() == []
+
+
+class TestStoredGaussWord:
+    @pytest.mark.parametrize("a", [*range(5, 25), 48, 64])
+    def test_derived_crossings_match_reference_assembly(self, a, monkeypatch):
+        # every _assemble call made while building the grid and projected
+        # diagrams and simplifying them is replayed through the reference
+        calls = []
+        real = diagram._assemble
+
+        def spy(events, signs):
+            d = real(events, signs)
+            calls.append((list(events), signs, d))
+            return d
+
+        monkeypatch.setattr(diagram, "_assemble", spy)
+        for D in grid_and_output(a, 7100 + a):
+            lk.simplify_diagram(D)
+        assert len(calls) == 4
+        for events, signs, d in calls:
+            crossings, gauss = reference_assemble(events, signs)
+            assert_matches_reference(d, crossings, gauss)
+            assert_matches_reference(d.mirror(), *reference_mirror(crossings, gauss))
+            assert d.mirror().mirror() == d
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            [("a", True), ("b", False), ("a", False), ("b", True), ("a", True), ("c", False)],
+            [("a", True), ("b", False), ("a", True), ("b", True)],
+            [("a", True), ("b", False), ("b", True), ("c", False)],
+        ],
+        ids=["passed three times", "passed over twice", "passed once"],
+    )
+    def test_assemble_rejects_a_key_not_passed_once_over_and_once_under(self, events):
+        with pytest.raises(lk.InternalInvariantError, match="crossing a needs one over and one under"):
+            _assemble(events, dict.fromkeys("abc", 1))
+
+    def test_check_flags_a_crossing_passed_over_twice(self):
+        d = lk.PlanarDiagram(gauss=((0, "O"), (1, "U"), (0, "O"), (1, "O")), signs=(1, -1))
+        assert d.check() == ["each crossing must be passed once over and once under"]
+
+    def test_certify_path_builds_no_crossing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Crossing was built on the certify path")
+
+        monkeypatch.setattr(diagram, "Crossing", refuse)
+        items = [dataset.get(name).arcs for name in dataset.names()]
+        items += [
+            lk.random_presentation(a, random.Random(1000 * a + s)) for a in range(12, 21) for s in (0, 1)
+        ]
+        for P in items:
+            _, cert = lk.construct_auto(P)
+            assert cert.invariant_match.status == "matched"

@@ -124,16 +124,16 @@ class TestConstructBasic:
 
 class TestReduceEnds:
     def test_pentagram_13(self, p5):
-        poly = lk.reduce_ends(lk.construct_basic(p5), p5)
+        poly = lk.reduce_ends(p5)
         assert lk.stick_count(poly) == 13
         assert lk.validate_polygon(poly) == []
 
     def test_p7_19(self, p7):
-        assert lk.stick_count(lk.reduce_ends(lk.construct_basic(p7), p7)) == 19
+        assert lk.stick_count(lk.reduce_ends(p7)) == 19
 
     def test_exactly_two_off_diagonal_z(self, p5, p6, p7):
         for P in (p5, p6, p7):
-            poly = lk.reduce_ends(lk.construct_basic(P), P)
+            poly = lk.reduce_ends(P)
             off = [s for s in poly.sticks if s.axis == "z" and s.c1 != s.c2]
             assert len(off) == 2
 
@@ -149,7 +149,7 @@ class TestReduceEnds:
                 continue
             checked += 1
             page = P.page_of((1, a))
-            poly = lk.reduce_ends(lk.construct_basic(P), P)
+            poly = lk.reduce_ends(P)
             assert lk.validate_polygon(poly) == []
             xs = [s for s in poly.sticks if s.axis == "x" and s.c2 == page and s.c1 == 1]
             ys = [s for s in poly.sticks if s.axis == "y" and s.c2 == page and s.c1 == a]
@@ -160,7 +160,7 @@ class TestReduceEnds:
         rng = random.Random(15)
         for _ in range(50):
             P = lk.random_presentation(rng.randint(5, 9), rng)
-            poly = lk.reduce_ends(lk.construct_basic(P), P)
+            poly = lk.reduce_ends(P)
             assert lk.stick_count(poly) == 3 * P.a - 2
             assert lk.validate_polygon(poly) == []
 
@@ -374,7 +374,7 @@ class TestCornerCycle:
         for P in self.presentations():
             basic = lk.construct_basic(P)
             assert basic.sticks == reference_basic(P).sticks
-            assert lk.reduce_ends(basic, P).sticks == reference_reduced(P).sticks
+            assert lk.reduce_ends(P).sticks == reference_reduced(P).sticks
             if lk.is_star_shaped(P):
                 continue
             nns = normalized(P)

@@ -161,7 +161,7 @@ class TestProjectPolygon:
             want = lk.alexander(lk.arc_to_planar(P))
             polys = [
                 lk.construct_basic(P),
-                lk.reduce_ends(lk.construct_basic(P), P),
+                lk.reduce_ends(P),
             ]
             w = lk.find_nonstar_witness(P) if not lk.is_star_shaped(P) else None
             if w is not None:
@@ -176,7 +176,7 @@ class TestProjectPolygon:
             P = dataset.get(name).arcs
             want = lk.alexander(lk.arc_to_planar(P))
             basic = lk.construct_basic(P)
-            for poly in (basic, lk.reduce_ends(basic, P)):
+            for poly in (basic, lk.reduce_ends(P)):
                 assert lk.alexander(lk.project_polygon(poly)) == want, name
 
     def test_euler_faces_on_projections(self):
@@ -290,7 +290,7 @@ def test_one_scan_decides_like_the_three_pass_reference():
     for a in range(5, 13):
         P = lk.random_presentation(a, rng)
         basic = lk.construct_basic(P)
-        for poly in (basic, lk.reduce_ends(basic, P), build_branch(P, "auto")[1]):
+        for poly in (basic, lk.reduce_ends(P), build_branch(P, "auto")[1]):
             verts = poly.vertices()
             M = max(abs(c) for v in verts for c in v)
             cases += [(verts, B) for B in range(1, M + 6)]
@@ -307,7 +307,7 @@ def test_one_scan_decides_like_the_three_pass_reference():
 def test_triple_point_alone_rejects_a_direction():
     """A triple point with no contact at an edge's end: only its own check can reject B."""
     P = lk.validate([[6, 7], [1, 4], [1, 3], [4, 5], [2, 3], [2, 7], [5, 6]])
-    verts = lk.reduce_ends(lk.construct_basic(P), P).vertices()
+    verts = lk.reduce_ends(P).vertices()
     B = 2
     pts = [(B * x - y, B * B * x - z) for x, y, z in verts]
     assert len(set(pts)) == len(pts)

@@ -84,7 +84,7 @@ def test_one_sweep_draws_like_the_piece_splitting_reference():
     for a in [*range(5, 25), 64]:
         P = lk.random_presentation(a, random.Random(9000 + a))
         basic = lk.construct_basic(P)
-        polys += [basic, lk.reduce_ends(basic, P), build_branch(P, "auto")[1]]
+        polys += [basic, lk.reduce_ends(P), build_branch(P, "auto")[1]]
     polys += [certified_polygon(48), certified_polygon(56)]
     for poly in polys:
         svg = render_svg(poly)
