@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
 from itertools import combinations
+from operator import itemgetter
 from math import gcd, isqrt, lcm
 
 from .arc import ArcPresentation
@@ -149,6 +150,31 @@ def _assemble(events: list[tuple[object, bool]], signs: dict) -> PlanarDiagram:
     return PlanarDiagram(tuple(gauss), tuple([signs[key] for key in index]))
 
 
+def _direction_classes(
+    segs: list[tuple[int, int, int, int]],
+) -> dict[tuple[int, int], list[tuple[int, int]]]:
+    """(index, g) of each segment, grouped by primitive direction up to sign.
+
+    segs holds (x, y, dx, dy) per segment, and (dx, dy) = +-g * (ux, uy)
+    with g > 0 the gcd.  A class's key (ux, uy) has ux > 0, or ux == 0 < uy.
+    A zero-length segment (gcd(0, 0) = 0) joins no class.
+    """
+    classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for k, (_, _, dx, dy) in enumerate(segs):
+        g = gcd(dx, dy)
+        if g:
+            if dx < 0 or (dx == 0 and dy < 0):
+                classes.setdefault((-dx // g, -dy // g), []).append((k, g))
+            else:
+                classes.setdefault((dx // g, dy // g), []).append((k, g))
+    return classes
+
+
+def _segments(pts: list[tuple[int, int]]) -> list[tuple[int, int, int, int]]:
+    """(x, y, dx, dy) of segment k, from pts[k] to pts[k+1 mod m]."""
+    return [(x, y, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:] + pts[:1])]
+
+
 def segment_crossings(pts: list[tuple[int, int]]) -> list[tuple[int, int, int, int, int]]:
     """Meeting points of non-adjacent segments of the closed polyline pts.
 
@@ -162,48 +188,55 @@ def segment_crossings(pts: list[tuple[int, int]]) -> list[tuple[int, int, int, i
     parallel to everything.
 
     Only candidate pairs are visited.  Segments are grouped by primitive
-    direction up to sign, and for two classes with directions u and v the
-    skew coordinates alpha = cross(p, v) and beta = cross(u, p) are an
-    invertible integer map of the plane (its determinant is cross(u, v)
-    != 0).  A u-segment maps to an alpha-interval at one beta and a
-    v-segment to a beta-interval at one alpha, so the two closed segments
-    meet exactly when each one's fixed coordinate lies in the other's
-    interval, bounds included.  The v-segments sorted by alpha are bisected
-    for each u-segment's interval and the survivors' beta is compared.
-    With c classes this costs O(c * m log m) plus one comparison per pair
-    whose alpha matches, instead of m**2 / 2 pair tests; a lattice
-    polygon's linear views have c = 3.
+    direction up to sign.  The offset cross(w, p) is constant along a
+    w-segment, and for two classes u and v the offsets (cross(u, p),
+    cross(v, p)) are an invertible integer map of the plane (its
+    determinant is cross(u, v) != 0).  A u-segment maps to a v-offset
+    interval at one u-offset and a v-segment to a u-offset interval at one
+    v-offset, so the two closed segments meet exactly when each one's fixed
+    offset lies in the other's interval, bounds included.  Each class is
+    sorted by offset once; for each pair of classes the sorted v-segments
+    are bisected for each u-segment's interval and the survivors' interval
+    is checked.  With c classes this costs O(c * m log m) plus one
+    comparison per pair whose v-offset matches, instead of m**2 / 2 pair
+    tests; a lattice polygon's linear views have c = 3.
+
+    Which class of a pair is bisected sets how many pairs are compared.
+    A u-segment of direction g * u spans g * |cross(u, v)| in v-offset, so
+    if the v-segments' offsets were spread evenly over their span S_v, the
+    u-intervals would cover |cross(u, v)| * G_u * n_v / (S_v + 1) of them,
+    with n_v the v-class size and G_u the u-class length in units of u.
+    The cross is common to both choices, so each class gets the density
+    n / (G * (S + 1)) once, and of each pair the sparser class is bisected.
     """
     m = len(pts)
-    segs = [(x, y, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:] + pts[:1])]
-    classes: dict[tuple[int, int], list[int]] = {}
-    for k, (_, _, dx, dy) in enumerate(segs):
-        g = gcd(dx, dy)
-        if g:
-            if dx < 0 or (dx == 0 and dy < 0):
-                g = -g
-            classes.setdefault((dx // g, dy // g), []).append(k)
+    segs = _segments(pts)
+    classes = []
+    for (wx, wy), group in _direction_classes(segs).items():
+        offsets = sorted([(wx * segs[k][1] - wy * segs[k][0], k) for k, _ in group])
+        length = sum([g for _, g in group])
+        density = len(group) / (length * (offsets[-1][0] - offsets[0][0] + 1))
+        classes.append((density, wx, wy, offsets, [o for o, _ in offsets]))
+    # densest class first, so the later class of each pair is bisected
+    classes.sort(key=itemgetter(0), reverse=True)
     found = []
-    for ((ux, uy), group1), ((vx, vy), group2) in combinations(classes.items(), 2):
-        # the v-segments by alpha, each with its beta interval
-        column = []
-        for k in group2:
+    for (_, ux, uy, rows, _), (_, vx, vy, column, keys) in combinations(classes, 2):
+        # each v-segment's u-offset interval, in the order of keys
+        spans = []
+        for _, k in column:
             x, y, dx, dy = segs[k]
             b0 = ux * y - uy * x
             b1 = b0 + ux * dy - uy * dx
-            column.append((x * vy - y * vx, min(b0, b1), max(b0, b1), k))
-        column.sort()
-        alphas = [c[0] for c in column]
-        for k1 in group1:
+            spans.append((b0, b1, k) if b0 < b1 else (b1, b0, k))
+        for fixed, k1 in rows:
             x, y, dx, dy = segs[k1]
-            a0 = x * vy - y * vx
-            a1 = a0 + dx * vy - dy * vx
+            a0 = vx * y - vy * x
+            a1 = a0 + vx * dy - vy * dx
             if a0 > a1:
                 a0, a1 = a1, a0
-            beta = ux * y - uy * x
-            for j in range(bisect_left(alphas, a0), bisect_right(alphas, a1)):
-                _, lo, hi, k2 = column[j]
-                if not lo <= beta <= hi:
+            for j in range(bisect_left(keys, a0), bisect_right(keys, a1)):
+                lo, hi, k2 = spans[j]
+                if not lo <= fixed <= hi:
                     continue
                 s1, s2 = (k1, k2) if k1 < k2 else (k2, k1)
                 if s2 - s1 == 1 or s2 - s1 == m - 1:
@@ -216,6 +249,32 @@ def segment_crossings(pts: list[tuple[int, int]]) -> list[tuple[int, int, int, i
                 )
     found.sort()
     return found
+
+
+def segment_scales(pts: list[tuple[int, int]]) -> list[int]:
+    """One integer K_s per segment of pts that makes every crossing's parameter integral.
+
+    K_s = g_s * C, where g_s is the gcd of segment s's direction and C the
+    lcm of |cross(u, v)| over every pair of direction classes present (as
+    in segment_crossings; 1 with fewer than two classes).  A zero-length
+    segment meets nothing and gets C.  For each (s1, s2, n1, n2, den)
+    that segment_crossings returns, n1 * K_s1 / den and n2 * K_s2 / den
+    are integers, so a segment's meeting points sort by those keys
+    exactly, with no lcm over the segment's denominators.  Proof: write the
+    directions of s1 and s2 as p = e1 g1 u and q = e2 g2 v with signs
+    e1, e2 and primitive u, v, and r for pts[s2] - pts[s1].  Then
+    den = cross(p, q) = e1 e2 g1 g2 cross(u, v) and n1 = cross(r, q) =
+    e2 g2 cross(r, v), so n1 * K_s1 / den = e1 cross(r, v) C / cross(u, v),
+    an integer because cross(u, v) divides C.  Likewise n2 = cross(r, p)
+    gives n2 * K_s2 / den = e2 cross(r, u) C / cross(u, v).
+    """
+    classes = _direction_classes(_segments(pts))
+    C = lcm(*(abs(ux * vy - uy * vx) for (ux, uy), (vx, vy) in combinations(classes, 2)))
+    scales = [C] * len(pts)
+    for group in classes.values():
+        for k, g in group:
+            scales[k] = g * C
+    return scales
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +336,12 @@ def project_polygon(poly: LatticePolygon) -> PlanarDiagram:
     segment_crossings scan that rejects any contact at an edge's end, which
     covers vertices on edges and collinear overlaps since consecutive sticks
     never project to parallel edges, and last a triple point, seen as two
-    equal parameters in one segment's sorted hits.  A crossing's two
-    parameters share one denominator d, so each side compares integers:
-    hits sort by numerators brought over the lcm of their segment's
-    denominators, and over/under compares the exact depths along the
-    projection direction scaled by d (larger depth is nearer the viewer).
+    equal parameters in one segment's sorted hits.  Each side compares
+    integers: a segment's hits sort by their parameters times the
+    segment's scale from segment_scales, which are exact integers, and a
+    crossing's two parameters share one denominator d, so over/under
+    compares the exact depths along the projection direction scaled by d
+    (larger depth is nearer the viewer).
     """
     verts = require_valid(poly).vertices()
     M = max(1, max(abs(c) for v in verts for c in v))
@@ -294,14 +354,8 @@ def project_polygon(poly: LatticePolygon) -> PlanarDiagram:
 
 def _try_projection(verts: list[tuple[int, int, int]], B: int) -> PlanarDiagram | None:
     m = len(verts)
-
-    def proj(p):
-        return (B * p[0] - p[1], B * B * p[0] - p[2])
-
-    def depth(p):
-        return p[0] + B * p[1] + B * B * p[2]
-
-    pts = [proj(v) for v in verts]
+    BB = B * B
+    pts = [(B * x - y, BB * x - z) for x, y, z in verts]
     if len(set(pts)) != m:
         return None
 
@@ -312,9 +366,11 @@ def _try_projection(verts: list[tuple[int, int, int]], B: int) -> PlanarDiagram 
     # has an edge neither parallel nor adjacent to s, reported here at t = 0
     # or 1, and a collinear overlap puts a vertex inside an edge or repeats a
     # vertex image.  Equal depths would be one 3-D point on two sticks.
-    hits: dict[int, list[tuple[int, int, int, bool]]] = {k: [] for k in range(m)}
+    hits: list[list[tuple[int, tuple[int, int], bool]]] = [[] for _ in range(m)]
+    points: set[tuple[int, int]] = set()  # (segment, key) of every hit
     signs: dict[tuple[int, int], int] = {}
-    depths = [depth(v) for v in verts]
+    depths = [x + B * y + BB * z for x, y, z in verts]
+    scales = segment_scales(pts)
     for s1, s2, n1, n2, den in segment_crossings(pts):
         # both parameters over one positive denominator: t1 = n1/d, t2 = n2/d
         d = abs(den)
@@ -330,21 +386,27 @@ def _try_projection(verts: list[tuple[int, int, int]], B: int) -> PlanarDiagram 
         s1_over = here > there
         # positive when the over direction is the under one turned counterclockwise
         sign = 1 if den > 0 else -1
-        signs[s1, s2] = -sign if s1_over else sign
-        hits[s1].append((n1, d, s2, s1_over))
-        hits[s2].append((n2, d, s1, not s1_over))
+        pair = (s1, s2)
+        signs[pair] = -sign if s1_over else sign
+        key1, r1 = divmod(n1 * scales[s1], d)
+        key2, r2 = divmod(n2 * scales[s2], d)
+        if r1 or r2:
+            raise InternalInvariantError(f"crossing of segments {s1}, {s2} has no integer key")
+        hits[s1].append((key1, pair, s1_over))
+        hits[s2].append((key2, pair, not s1_over))
+        points.add((s1, key1))
+        points.add((s2, key2))
 
-    # a segment's hits sort by the integer n * (L // d), L the lcm of their
-    # denominators.  A triple point shows as two equal keys on one segment:
-    # with no contact at an edge's end, three edges through one point are
-    # pairwise non-adjacent and non-parallel, so each meets the other two there
+    # a triple point shows as two equal keys on one segment: with no contact
+    # at an edge's end, three edges through one point are pairwise
+    # non-adjacent and non-parallel, so each meets the other two there
+    if len(points) < 2 * len(signs):
+        return None
+    # with distinct keys, a segment's hits sort by their keys alone
     events: list[tuple[object, bool]] = []
-    for s in range(m):
-        L = lcm(*(d for _, d, _, _ in hits[s]))
-        row = sorted((n * (L // d), other, over) for n, d, other, over in hits[s])
-        if any(u[0] == v[0] for u, v in zip(row, row[1:])):
-            return None  # triple point
-        events += [((min(s, other), max(s, other)), over) for _, other, over in row]
+    for row in hits:
+        row.sort()
+        events += [(pair, over) for _, pair, over in row]
     return _assemble(events, signs)
 
 

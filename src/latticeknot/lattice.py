@@ -12,6 +12,7 @@ order, and every polygon is validated by exact integer interval arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arc import ArcPresentation, NormalizedNonStar
 from .errors import InternalInvariantError
@@ -75,8 +76,9 @@ class LatticePolygon:
 
     sticks: tuple[LatticeStick, ...]
 
-    def vertices(self) -> list[Point]:
-        """Corner points in traversal order; stick k runs vertices[k] -> vertices[k+1]."""
+    @cached_property
+    def _corners(self) -> tuple[Point, ...]:
+        """vertices(), derived once per polygon; not cached when it raises."""
         m = len(self.sticks)
         out = []
         for k in range(m):
@@ -88,7 +90,14 @@ class LatticePolygon:
                     f"sticks {(k - 1) % m} and {k} share {len(shared)} endpoints"
                 )
             out.append(shared.pop())
-        return out
+        return tuple(out)
+
+    def vertices(self) -> list[Point]:
+        """Corner points in traversal order; stick k runs vertices[k] -> vertices[k+1].
+
+        A new list on every call, so a caller may change it freely.
+        """
+        return list(self._corners)
 
     def to_json_obj(self) -> dict:
         return {"sticks": [s.to_json_obj() for s in self.sticks]}

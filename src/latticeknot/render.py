@@ -2,18 +2,20 @@
 
 The SVG view is a fixed isometric projection with integer axis images,
 so hidden-line decisions (which strand gets the gap at a crossing) are
-made exactly in integers.  A crossing parameter stays a pair n/d, each
-segment's cut bounds share one integer denominator, and a drawn endpoint
-becomes a float only through one correctly rounded int division, the
-rounding float() of the same rational gives.  The OBJ export writes one
+made exactly in integers.  A crossing parameter times its segment's
+integer scale K (from segment_scales) is an exact integer, so every cut
+bound of a segment is an integer over one denominator q * K, and a drawn
+endpoint becomes a float only through one correctly rounded int division,
+the rounding float() of the same rational gives.  The OBJ export writes one
 vertex per polygon corner and one polyline record per stick.
 """
 
 from __future__ import annotations
 
-from math import isqrt, lcm
+from math import isqrt
 
-from .diagram import segment_crossings
+from .diagram import segment_crossings, segment_scales
+from .errors import InternalInvariantError
 from .lattice import LatticePolygon
 
 # isometric axis images, scaled by 30 to stay integral:
@@ -38,10 +40,10 @@ def render_svg(poly: LatticePolygon) -> str:
     m = len(verts)
     pts = [_screen(v) for v in verts]
     depths = [_depth(v) for v in verts]
-    segs = [(pts[k], pts[(k + 1) % m]) for k in range(m)]
+    scales = segment_scales(pts)
 
-    # under-passage centres n/d (in segment parameter), d > 0
-    centres: dict[int, list[tuple[int, int]]] = {k: [] for k in range(m)}
+    # under-passage centres, each its parameter times the segment's scale
+    centres: list[list[int]] = [[] for _ in range(m)]
     for s1, s2, n1, n2, den in segment_crossings(pts):
         d = abs(den)
         if den < 0:
@@ -53,43 +55,39 @@ def render_svg(poly: LatticePolygon) -> str:
         h2 = depths[s2] * d + n2 * (depths[(s2 + 1) % m] - depths[s2])
         if h1 == h2:
             continue  # projective coincidence of distinct points; draw plain
-        if h1 < h2:
-            centres[s1].append((n1, d))
-        else:
-            centres[s2].append((n2, d))
+        s, n = (s1, n1) if h1 < h2 else (s2, n2)
+        c, r = divmod(n * scales[s], d)
+        if r:
+            raise InternalInvariantError(f"crossing of segments {s1}, {s2} has no integer key")
+        centres[s].append(c)
 
     lines = []
-    for k in range(m):
-        (x1, y1), (x2, y2) = segs[k]
+    for k, ((x1, y1), (x2, y2)) in enumerate(zip(pts, pts[1:] + pts[:1])):
+        dx, dy = x2 - x1, y2 - y1
         # half-width p/q of each cut: the gap, but at most a third of the segment
-        seg_len = isqrt((x2 - x1) ** 2 + (y2 - y1) ** 2)
+        seg_len = isqrt(dx * dx + dy * dy)
         p, q = (_HALF_GAP, seg_len) if 3 * _HALF_GAP < seg_len else (1, 3)
-        # every cut bound and drawn parameter is an integer over D = q * L
-        L = lcm(*(d for _, d in centres[k]))
-        D = q * L
-        cuts = []
-        for n, d in centres[k]:
-            c = n * (D // d)
-            cuts.append((max(0, c - p * L), min(D, c + p * L)))
-        cuts.sort()
-        # one sweep over the sorted cuts; the empty cut at D draws the tail
+        # every cut bound and drawn parameter is an integer over D = q * K:
+        # the cut around centre c is (c*q - p*K, c*q + p*K)
+        K = scales[k]
+        D, half = q * K, p * K
+        X, Y = x1 * D, y1 * D
+        # one sweep over the cuts by centre; the empty cut at D draws the tail
         start = 0
-        for lo, hi in cuts + [(D, D)]:
+        for lo, hi in [(c * q - half, c * q + half) for c in sorted(centres[k])] + [(D, D)]:
             if lo > start:
-                ax = (x1 * D + start * (x2 - x1)) / D
-                ay = (y1 * D + start * (y2 - y1)) / D
-                bx = (x1 * D + lo * (x2 - x1)) / D
-                by = (y1 * D + lo * (y2 - y1)) / D
-                lines.append(
-                    f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" y2="{by:.2f}"/>'
-                )
+                ax = (X + start * dx) / D
+                ay = (Y + start * dy) / D
+                bx = (X + lo * dx) / D
+                by = (Y + lo * dy) / D
+                lines.append(f'  <line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" y2="{by:.2f}"/>')
             start = max(start, hi)
 
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     pad = _SCALE
     vb = (min(xs) - pad, min(ys) - pad, max(xs) - min(xs) + 2 * pad, max(ys) - min(ys) + 2 * pad)
-    body = "\n".join(f"  {ln}" for ln in lines)
+    body = "\n".join(lines)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{vb[0]} {vb[1]} {vb[2]} {vb[3]}" '
         f'stroke="black" stroke-width="4" stroke-linecap="round">\n{body}\n</svg>\n'

@@ -7,6 +7,7 @@ import pytest
 
 import latticeknot as lk
 from latticeknot import PresentationError
+from latticeknot.errors import InternalInvariantError
 
 from conftest import star_in_order
 
@@ -162,6 +163,32 @@ class TestDual:
     def test_doubled_pair_self_dual(self):
         P = lk.validate([[1, 2], [1, 2]])
         assert lk.dual(P) == P
+
+
+class TestIncidence:
+    def test_pages_and_far_ends_match_a_scan_of_the_arcs(self):
+        rng = random.Random(23)
+        for _ in range(50):
+            P = lk.random_presentation(rng.randint(2, 30), rng)
+            for b in range(1, P.a + 1):
+                at = [
+                    (p, j if i == b else i)
+                    for p, (i, j) in enumerate(P.arcs, start=1)
+                    if b in (i, j)
+                ]
+                assert P.pages_at(b) == (at[0][0], at[1][0])
+                assert P.far_ends(b) == (at[0][1], at[1][1])
+
+    @pytest.mark.parametrize("binding", [1, 2, 5])
+    def test_binding_on_other_than_two_pages_raises(self, binding):
+        # built directly, skipping validate: binding 1 is on pages 1..3,
+        # binding 2 on page 1 alone and binding 5 on none
+        P = lk.ArcPresentation(((1, 2), (1, 3), (1, 4), (3, 4)))
+        with pytest.raises(InternalInvariantError, match=f"binding index {binding} "):
+            P.pages_at(binding)
+        with pytest.raises(InternalInvariantError, match=f"binding index {binding} "):
+            P.far_ends(binding)
+        assert P.pages_at(3) == (2, 4) and P.far_ends(4) == (1, 3)
 
 
 class TestStarShape:

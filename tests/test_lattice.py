@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import latticeknot as lk
 from latticeknot import LatticePolygon, LatticeStick
+from latticeknot.errors import InternalInvariantError
 from latticeknot.lattice import Violation, require_valid
 
 
@@ -602,3 +603,30 @@ class TestValidateAgainstReference:
         assert {v.kind for v in reference_validate_polygon(poly)} == {"open_chain", "overlap"}
         with pytest.raises(lk.SelfIntersectionError):
             require_valid(poly)
+
+
+def test_vertices_stay_correct_after_the_caller_changes_the_list(p6):
+    poly = lk.reduce_ends(p6)
+    got = poly.vertices()
+    want = list(got)
+    got.reverse()
+    got[0] = (99, 99, 99)
+    got.append((0, 0, 0))
+    assert poly.vertices() == want
+    assert poly.vertices() is not poly.vertices()
+    assert LatticePolygon(poly.sticks).vertices() == want
+
+
+def test_vertices_raise_on_every_call_for_a_broken_corner():
+    # sticks 0 and 1 share no endpoint; the failure is not cached as a value
+    poly = LatticePolygon(
+        (
+            LatticeStick("x", 0, 1, 0, 0),
+            LatticeStick("y", 0, 1, 5, 0),
+            LatticeStick("x", 0, 1, 1, 0),
+            LatticeStick("y", 0, 1, 0, 0),
+        )
+    )
+    for _ in range(2):
+        with pytest.raises(InternalInvariantError, match="share 0 endpoints"):
+            poly.vertices()

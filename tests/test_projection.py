@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import latticeknot as lk
 from latticeknot import LatticePolygon, LatticeStick
 from latticeknot.certify import build_branch
-from latticeknot.diagram import _assemble, _try_projection, segment_crossings
+from latticeknot.diagram import _assemble, _try_projection, segment_crossings, segment_scales
 from latticeknot.render import _screen
 
 from conftest import certified_polygon
@@ -135,6 +135,43 @@ class TestSegmentCrossings:
             self.assert_like_reference(grid)
             contacts += sum(n1 in (0, den) for _, _, n1, _, den in segment_crossings(grid))
         assert contacts > 0
+
+
+class TestSegmentScales:
+    def test_hits_closer_than_either_cross_get_distinct_integer_keys(self):
+        """Only three classes: (1, 0), (1, 2) and (1, 3), so C = lcm(2, 3, 1) = 6.
+
+        Segment 0 runs along (1, 0) and is met by the (1, 2)-segment 3 at
+        t = 1/2 and by the (1, 3)-segment 2 at t = 2/3.  The two differ by
+        1/6, below 1/2 and 1/3, so a scale built from either cross alone
+        leaves one key fractional.
+        """
+        pts = [(0, 0), (1, 0), (0, -2), (1, 1), (-1, -3)]
+        scales = segment_scales(pts)
+        assert scales == [6, 6, 6, 12, 6]  # segment 3 is 2 * (-1, -2)
+        keys: dict[int, list[tuple[int, Fraction]]] = {}
+        for s1, s2, n1, n2, den in segment_crossings(pts):
+            for s, n in ((s1, n1), (s2, n2)):
+                key, rest = divmod(n * scales[s], den)
+                assert rest == 0
+                assert Fraction(key, scales[s]) == Fraction(n, den)
+                keys.setdefault(s, []).append((key, Fraction(n, den)))
+        assert sorted(keys[0]) == [(3, Fraction(1, 2)), (4, Fraction(2, 3))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(few_direction_polylines())
+    def test_keys_of_few_direction_polylines_are_integers_in_parameter_order(self, pts):
+        scales = segment_scales(pts)
+        hits: dict[int, list[tuple[int, Fraction]]] = {}
+        for s1, s2, n1, n2, den in segment_crossings(pts):
+            for s, n in ((s1, n1), (s2, n2)):
+                key, rest = divmod(n * scales[s], den)
+                assert rest == 0
+                hits.setdefault(s, []).append((key, Fraction(n, den)))
+        for row in hits.values():
+            # equal keys exactly at equal parameters, and the same order
+            assert sorted(row) == sorted(row, key=lambda h: h[1])
+            assert len({k for k, _ in row}) == len({t for _, t in row})
 
 
 class TestProjectPolygon:
