@@ -31,20 +31,11 @@ from .lattice import (
     stick_count,
 )
 
-# bounds the polygon size (about 3a sticks) for the quadratic geometry
-# passes; Alexander time is not bounded by it.  On one core of a Xeon VM,
-# Python 3.11, the geometry of a 188-stick certified a = 64 polygon (mean
-# of 30 seeded presentations) costs 3.2 ms to build with its own
-# validation, 0.6 ms to validate again, 12 ms to render as SVG and 14 ms
-# to project, its nested validation included.  The sparse integer Bareiss
-# touches few rows per step, but an entry after step k has about 1.3*n*k
-# bits and CPython divides big ints in quadratic time, so it still grows
-# steeply in the simplified crossing count n.  On the same machine,
-# a = 32 output minors with n = 115, 140 and 173 take 0.13, 0.38 and
-# 1.2 s; a = 48 ones with n = 218, 259 and 266 take 4.5, 11 and 17 s, and
-# an a = 64 input minor with n = 399 takes 67 s.  So a = 48..64 is
-# accepted here and built, checked, drawn and projected in milliseconds,
-# but its Alexander check is not served in practice.
+# the pipeline's range is 5 <= a <= MAX_ARC_COUNT.  The bound caps the
+# polygon size (about 3a sticks) for the geometry stages and the crossing
+# count for the Alexander check; it does not bound Alexander time.  The
+# README gives both costs at a = 64: the geometry takes milliseconds, the
+# Alexander check can take over a minute.
 MAX_ARC_COUNT = 64
 
 

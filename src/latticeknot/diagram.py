@@ -150,56 +150,50 @@ def _assemble(events: list[tuple[object, bool]], signs: dict) -> PlanarDiagram:
     return PlanarDiagram(tuple(gauss), tuple([signs[key] for key in index]))
 
 
-def _direction_classes(
-    segs: list[tuple[int, int, int, int]],
-) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """(index, g) of each segment, grouped by primitive direction up to sign.
-
-    segs holds (x, y, dx, dy) per segment, and (dx, dy) = +-g * (ux, uy)
-    with g > 0 the gcd.  A class's key (ux, uy) has ux > 0, or ux == 0 < uy.
-    A zero-length segment (gcd(0, 0) = 0) joins no class.
-    """
-    classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for k, (_, _, dx, dy) in enumerate(segs):
-        g = gcd(dx, dy)
-        if g:
-            if dx < 0 or (dx == 0 and dy < 0):
-                classes.setdefault((-dx // g, -dy // g), []).append((k, g))
-            else:
-                classes.setdefault((dx // g, dy // g), []).append((k, g))
-    return classes
-
-
-def _segments(pts: list[tuple[int, int]]) -> list[tuple[int, int, int, int]]:
-    """(x, y, dx, dy) of segment k, from pts[k] to pts[k+1 mod m]."""
-    return [(x, y, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:] + pts[:1])]
-
-
-def segment_crossings(pts: list[tuple[int, int]]) -> list[tuple[int, int, int, int, int]]:
+def segment_crossings(
+    pts: list[tuple[int, int]], depths: list[int]
+) -> tuple[list[int], list[tuple[int, int, int, int, int, int]]]:
     """Meeting points of non-adjacent segments of the closed polyline pts.
 
-    Segment k runs from pts[k] to pts[k+1 mod m].  Returns (s1, s2, n1, n2,
-    den), all plain ints, for every pair s1 < s2 of non-parallel segments
-    that meet, in order of s1 then s2.  They meet at the parameters
-    t1 = n1/den along s1 and t2 = n2/den along s2, with 0 <= t1, t2 <= 1;
-    no rational is built.  den is the cross product of the two directions;
-    it is positive when segment s2 crosses segment s1 from right to left.
-    Parallel pairs are skipped, and so is a zero-length segment, which is
-    parallel to everything.
+    Segment k runs from pts[k] to pts[k+1 mod m], and its depth runs
+    linearly from depths[k] to depths[k+1 mod m].  Returns (scales, found):
+    one positive int per segment, and (s1, s2, k1, k2, sign, over), all
+    plain ints, for every pair s1 < s2 of non-parallel segments that meet,
+    in order of s1 then s2.  They meet at the parameters t1 = k1 / scales[s1]
+    along s1 and t2 = k2 / scales[s2] along s2, with 0 <= t1, t2 <= 1, so
+    the meeting point is an end of s exactly when k is 0 or scales[s]; no
+    rational is built.  sign is +1 when segment s2 crosses segment s1 from
+    right to left, else -1.  over is the sign of s1's depth minus s2's
+    depth at the meeting point, 0 when they are equal.  Parallel pairs are
+    skipped, and so is a zero-length segment, which is parallel to
+    everything.
 
-    Only candidate pairs are visited.  Segments are grouped by primitive
-    direction up to sign.  The offset cross(w, p) is constant along a
-    w-segment, and for two classes u and v the offsets (cross(u, p),
-    cross(v, p)) are an invertible integer map of the plane (its
-    determinant is cross(u, v) != 0).  A u-segment maps to a v-offset
-    interval at one u-offset and a v-segment to a u-offset interval at one
-    v-offset, so the two closed segments meet exactly when each one's fixed
-    offset lies in the other's interval, bounds included.  Each class is
-    sorted by offset once; for each pair of classes the sorted v-segments
-    are bisected for each u-segment's interval and the survivors' interval
-    is checked.  With c classes this costs O(c * m log m) plus one
-    comparison per pair whose v-offset matches, instead of m**2 / 2 pair
-    tests; a lattice polygon's linear views have c = 3.
+    Segments are grouped by primitive direction up to sign: segment s runs
+    along +-g_s * u, g_s > 0 the gcd of its direction and u its class.  The
+    offset cross(w, p) is constant along a w-segment, and for two classes u
+    and v the offsets (cross(u, p), cross(v, p)) are an invertible integer
+    map of the plane (its determinant is cross(u, v) != 0).  A u-segment
+    maps to a v-offset interval at one u-offset and a v-segment to a
+    u-offset interval at one v-offset, so the two closed segments meet
+    exactly when each one's fixed offset lies in the other's interval,
+    bounds included.  Each class is sorted by offset once; for each pair of
+    classes the sorted v-segments are bisected for each u-segment's
+    interval and the survivors' interval is checked.  With c classes this
+    costs O(c * m log m) plus one comparison per pair whose v-offset
+    matches, instead of m**2 / 2 pair tests; a lattice polygon's linear
+    views have c = 3.
+
+    scales[s] = g_s * C, with C the lcm of |cross(u, v)| over every pair of
+    classes present (1 with fewer than two); a zero-length segment gets C.
+    The keys need no division.  Along a u-segment s from p0 the v-offset
+    runs from o0 = cross(v, p0) to o0 +- g_s * cross(v, u), so it reaches a
+    v-segment's offset o at t = (o - o0) / (+-g_s * cross(v, u)), and the
+    key t * g_s * C is (o - o0) times the step +-C / |cross(u, v)|, an
+    integer since cross(u, v) divides C; the same holds with u and v
+    swapped.  So a segment's meeting points sort by their keys exactly, and
+    two are the same point exactly when their keys are equal.  The depths at
+    a meeting point, d_s + key * (d_s' - d_s) / scales[s] on each segment,
+    are compared times scales[s1] * scales[s2].
 
     Which class of a pair is bisected sets how many pairs are compared.
     A u-segment of direction g * u spans g * |cross(u, v)| in v-offset, so
@@ -210,71 +204,63 @@ def segment_crossings(pts: list[tuple[int, int]]) -> list[tuple[int, int, int, i
     n / (G * (S + 1)) once, and of each pair the sparser class is bisected.
     """
     m = len(pts)
-    segs = _segments(pts)
+    segs = [(x, y, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:] + pts[:1])]
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}  # class -> (segment, g)
+    for k, (_, _, dx, dy) in enumerate(segs):
+        g = gcd(dx, dy)
+        if g:
+            if dx < 0 or (dx == 0 and dy < 0):
+                groups.setdefault((-dx // g, -dy // g), []).append((k, g))
+            else:
+                groups.setdefault((dx // g, dy // g), []).append((k, g))
+    C = lcm(*(abs(ux * vy - uy * vx) for (ux, uy), (vx, vy) in combinations(groups, 2)))
+    scales = [C] * m
     classes = []
-    for (wx, wy), group in _direction_classes(segs).items():
+    for (wx, wy), group in groups.items():
+        for k, g in group:
+            scales[k] = g * C
         offsets = sorted([(wx * segs[k][1] - wy * segs[k][0], k) for k, _ in group])
         length = sum([g for _, g in group])
         density = len(group) / (length * (offsets[-1][0] - offsets[0][0] + 1))
         classes.append((density, wx, wy, offsets, [o for o, _ in offsets]))
     # densest class first, so the later class of each pair is bisected
     classes.sort(key=itemgetter(0), reverse=True)
+    rise = [b - a for a, b in zip(depths, depths[1:] + depths[:1])]
     found = []
     for (_, ux, uy, rows, _), (_, vx, vy, column, keys) in combinations(classes, 2):
-        # each v-segment's u-offset interval, in the order of keys
+        # a segment starting at the other class's offset o0 meets that
+        # class's segment at offset o with the key (o - o0) * step, step = +-f
+        f = C // abs(ux * vy - uy * vx)
+        # each v-segment's u-offset interval and step, in the order of keys
         spans = []
         for _, k in column:
             x, y, dx, dy = segs[k]
             b0 = ux * y - uy * x
-            b1 = b0 + ux * dy - uy * dx
-            spans.append((b0, b1, k) if b0 < b1 else (b1, b0, k))
+            db = ux * dy - uy * dx
+            spans.append((b0, b0 + db, k, b0, f) if db > 0 else (b0 + db, b0, k, b0, -f))
         for fixed, k1 in rows:
             x, y, dx, dy = segs[k1]
             a0 = vx * y - vy * x
-            a1 = a0 + vx * dy - vy * dx
-            if a0 > a1:
-                a0, a1 = a1, a0
-            for j in range(bisect_left(keys, a0), bisect_right(keys, a1)):
-                lo, hi, k2 = spans[j]
-                if not lo <= fixed <= hi:
-                    continue
-                s1, s2 = (k1, k2) if k1 < k2 else (k2, k1)
-                if s2 - s1 == 1 or s2 - s1 == m - 1:
-                    continue  # adjacent
-                px, py, pdx, pdy = segs[s1]
-                qx, qy, qdx, qdy = segs[s2]
-                rx, ry = qx - px, qy - py
-                found.append(
-                    (s1, s2, rx * qdy - ry * qdx, rx * pdy - ry * pdx, pdx * qdy - pdy * qdx)
-                )
+            da = vx * dy - vy * dx
+            lo1, hi1, step1 = (a0, a0 + da, f) if da > 0 else (a0 + da, a0, -f)
+            for j in range(bisect_left(keys, lo1), bisect_right(keys, hi1)):
+                lo, hi, k2, b0, step2 = spans[j]
+                if not lo <= fixed <= hi or (k1 - k2) % m in (1, m - 1):
+                    continue  # no meeting, or adjacent
+                if k1 < k2:
+                    s1, key1, s2, key2 = k1, (keys[j] - a0) * step1, k2, (fixed - b0) * step2
+                else:
+                    s1, key1, s2, key2 = k2, (fixed - b0) * step2, k1, (keys[j] - a0) * step1
+                _, _, pdx, pdy = segs[s1]
+                _, _, qdx, qdy = segs[s2]
+                K1, K2 = scales[s1], scales[s2]
+                # the two depths at the meeting point, both scaled by K1 * K2
+                here = (depths[s1] * K1 + key1 * rise[s1]) * K2
+                there = (depths[s2] * K2 + key2 * rise[s2]) * K1
+                sign = 1 if pdx * qdy > pdy * qdx else -1
+                found.append((s1, s2, key1, key2, sign, (here > there) - (here < there)))
     found.sort()
-    return found
-
-
-def segment_scales(pts: list[tuple[int, int]]) -> list[int]:
-    """One integer K_s per segment of pts that makes every crossing's parameter integral.
-
-    K_s = g_s * C, where g_s is the gcd of segment s's direction and C the
-    lcm of |cross(u, v)| over every pair of direction classes present (as
-    in segment_crossings; 1 with fewer than two classes).  A zero-length
-    segment meets nothing and gets C.  For each (s1, s2, n1, n2, den)
-    that segment_crossings returns, n1 * K_s1 / den and n2 * K_s2 / den
-    are integers, so a segment's meeting points sort by those keys
-    exactly, with no lcm over the segment's denominators.  Proof: write the
-    directions of s1 and s2 as p = e1 g1 u and q = e2 g2 v with signs
-    e1, e2 and primitive u, v, and r for pts[s2] - pts[s1].  Then
-    den = cross(p, q) = e1 e2 g1 g2 cross(u, v) and n1 = cross(r, q) =
-    e2 g2 cross(r, v), so n1 * K_s1 / den = e1 cross(r, v) C / cross(u, v),
-    an integer because cross(u, v) divides C.  Likewise n2 = cross(r, p)
-    gives n2 * K_s2 / den = e2 cross(r, u) C / cross(u, v).
-    """
-    classes = _direction_classes(_segments(pts))
-    C = lcm(*(abs(ux * vy - uy * vx) for (ux, uy), (vx, vy) in combinations(classes, 2)))
-    scales = [C] * len(pts)
-    for group in classes.values():
-        for k, g in group:
-            scales[k] = g * C
-    return scales
+    return scales, found
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +322,10 @@ def project_polygon(poly: LatticePolygon) -> PlanarDiagram:
     segment_crossings scan that rejects any contact at an edge's end, which
     covers vertices on edges and collinear overlaps since consecutive sticks
     never project to parallel edges, and last a triple point, seen as two
-    equal parameters in one segment's sorted hits.  Each side compares
-    integers: a segment's hits sort by their parameters times the
-    segment's scale from segment_scales, which are exact integers, and a
-    crossing's two parameters share one denominator d, so over/under
-    compares the exact depths along the projection direction scaled by d
-    (larger depth is nearer the viewer).
+    equal keys in one segment's sorted hits.  segment_crossings gives each
+    hit an exact integer key, its parameter times the segment's scale, and
+    the sign of the difference of the two depths along the projection
+    direction at the crossing (larger depth is nearer the viewer).
     """
     verts = require_valid(poly).vertices()
     M = max(1, max(abs(c) for v in verts for c in v))
@@ -369,31 +353,17 @@ def _try_projection(verts: list[tuple[int, int, int]], B: int) -> PlanarDiagram 
     hits: list[list[tuple[int, tuple[int, int], bool]]] = [[] for _ in range(m)]
     points: set[tuple[int, int]] = set()  # (segment, key) of every hit
     signs: dict[tuple[int, int], int] = {}
-    depths = [x + B * y + BB * z for x, y, z in verts]
-    scales = segment_scales(pts)
-    for s1, s2, n1, n2, den in segment_crossings(pts):
-        # both parameters over one positive denominator: t1 = n1/d, t2 = n2/d
-        d = abs(den)
-        if den < 0:
-            n1, n2 = -n1, -n2
-        if not (0 < n1 < d and 0 < n2 < d):
+    scales, found = segment_crossings(pts, [x + B * y + BB * z for x, y, z in verts])
+    for s1, s2, key1, key2, sign, over in found:
+        if not (0 < key1 < scales[s1] and 0 < key2 < scales[s2]):
             return None  # a vertex on another edge, or a collinear overlap
-        # the two depths at the crossing, both scaled by d
-        here = depths[s1] * d + n1 * (depths[(s1 + 1) % m] - depths[s1])
-        there = depths[s2] * d + n2 * (depths[(s2 + 1) % m] - depths[s2])
-        if here == there:
+        if not over:
             raise InternalInvariantError("equal depths at a projected crossing")
-        s1_over = here > there
-        # positive when the over direction is the under one turned counterclockwise
-        sign = 1 if den > 0 else -1
         pair = (s1, s2)
-        signs[pair] = -sign if s1_over else sign
-        key1, r1 = divmod(n1 * scales[s1], d)
-        key2, r2 = divmod(n2 * scales[s2], d)
-        if r1 or r2:
-            raise InternalInvariantError(f"crossing of segments {s1}, {s2} has no integer key")
-        hits[s1].append((key1, pair, s1_over))
-        hits[s2].append((key2, pair, not s1_over))
+        # positive when the over direction is the under one turned counterclockwise
+        signs[pair] = -sign * over
+        hits[s1].append((key1, pair, over > 0))
+        hits[s2].append((key2, pair, over < 0))
         points.add((s1, key1))
         points.add((s2, key2))
 

@@ -1,4 +1,4 @@
-"""JSON interchange for presentations, polygons, and certificates.
+"""JSON input of presentations and polygons, and canonical JSON output.
 
 Canonical output uses sorted keys and no insignificant whitespace, so
 byte-level comparisons of round-tripped values are meaningful.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .arc import ArcPresentation, validate
-from .certify import MAX_ARC_COUNT, BoundCheck, ConstructionCertificate, InvariantMatch, TorusCCheck
+from .certify import MAX_ARC_COUNT
 from .lattice import FIXED_COORDS, LatticePolygon, LatticeStick
 
 # the basic construction's size at a = MAX_ARC_COUNT, the largest polygon
@@ -43,7 +43,10 @@ def polygon_from_obj(obj) -> LatticePolygon:
             axis = raw["axis"]
             lo, hi = raw["range"]
             n1, n2 = FIXED_COORDS[axis]
-            coords = (lo, hi, raw["fixed"][n1], raw["fixed"][n2])
+            fixed = raw["fixed"]
+            if not isinstance(fixed, dict) or fixed.keys() != {n1, n2}:
+                raise ValueError(f'"fixed" must hold exactly "{n1}" and "{n2}"')
+            coords = (lo, hi, fixed[n1], fixed[n2])
             if not all(type(v) is int for v in coords):
                 raise ValueError("coordinates must be integers")
             if any(abs(v) > MAX_COORD for v in coords):
@@ -52,30 +55,6 @@ def polygon_from_obj(obj) -> LatticePolygon:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"stick {k} is malformed: {exc}") from exc
     return LatticePolygon(tuple(sticks))
-
-
-def certificate_from_obj(obj) -> ConstructionCertificate:
-    checks = tuple(
-        BoundCheck(b["name"], int(b["lhs"]), int(b["rhs"]), bool(b["holds"]))
-        for b in obj["bound_checks"]
-    )
-    im = obj["invariant_match"]
-    match = InvariantMatch(
-        status=im["status"],
-        input_alexander=tuple(im["input_alexander"]) if im["input_alexander"] else None,
-        output_alexander=tuple(im["output_alexander"]) if im["output_alexander"] else None,
-    )
-    tcc = obj.get("torus_c_check")
-    return ConstructionCertificate(
-        a=int(obj["a"]),
-        branch=obj["branch"],
-        stick_count=int(obj["stick_count"]),
-        torus_params=tuple(obj["torus_params"]) if obj.get("torus_params") else None,
-        crossing_number=obj.get("crossing_number"),
-        bound_checks=checks,
-        invariant_match=match,
-        torus_c_check=TorusCCheck(tcc["expected"], tcc["supplied"], tcc["holds"]) if tcc else None,
-    )
 
 
 def detect_input(obj):

@@ -2,8 +2,8 @@
 
 The SVG view is a fixed isometric projection with integer axis images,
 so hidden-line decisions (which strand gets the gap at a crossing) are
-made exactly in integers.  A crossing parameter times its segment's
-integer scale K (from segment_scales) is an exact integer, so every cut
+made exactly in integers.  segment_crossings gives each crossing
+parameter as an exact integer key over its segment's scale K, so every cut
 bound of a segment is an integer over one denominator q * K, and a drawn
 endpoint becomes a float only through one correctly rounded int division,
 the rounding float() of the same rational gives.  The OBJ export writes one
@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .diagram import segment_crossings, segment_scales
-from .errors import InternalInvariantError
+from .diagram import segment_crossings
 from .lattice import LatticePolygon
 
 # isometric axis images, scaled by 30 to stay integral:
@@ -39,27 +38,17 @@ def render_svg(poly: LatticePolygon) -> str:
     verts = poly.vertices()
     m = len(verts)
     pts = [_screen(v) for v in verts]
-    depths = [_depth(v) for v in verts]
-    scales = segment_scales(pts)
+    scales, found = segment_crossings(pts, [_depth(v) for v in verts])
 
-    # under-passage centres, each its parameter times the segment's scale
+    # under-passage centres, each its parameter times the segment's scale.
+    # Touching strands need no gap.  Equal depths need none either: the
+    # screen-and-depth map has determinant 54030, so they mean one 3-D point
+    # on two non-adjacent sticks, which only an invalid polygon has
     centres: list[list[int]] = [[] for _ in range(m)]
-    for s1, s2, n1, n2, den in segment_crossings(pts):
-        d = abs(den)
-        if den < 0:
-            n1, n2 = -n1, -n2
-        if not (0 < n1 < d and 0 < n2 < d):
-            continue  # touching strands need no gap
-        # the two depths at the crossing, both scaled by d
-        h1 = depths[s1] * d + n1 * (depths[(s1 + 1) % m] - depths[s1])
-        h2 = depths[s2] * d + n2 * (depths[(s2 + 1) % m] - depths[s2])
-        if h1 == h2:
-            continue  # projective coincidence of distinct points; draw plain
-        s, n = (s1, n1) if h1 < h2 else (s2, n2)
-        c, r = divmod(n * scales[s], d)
-        if r:
-            raise InternalInvariantError(f"crossing of segments {s1}, {s2} has no integer key")
-        centres[s].append(c)
+    for s1, s2, k1, k2, _, over in found:
+        if over and 0 < k1 < scales[s1] and 0 < k2 < scales[s2]:
+            s, c = (s2, k2) if over > 0 else (s1, k1)
+            centres[s].append(c)
 
     lines = []
     for k, ((x1, y1), (x2, y2)) in enumerate(zip(pts, pts[1:] + pts[:1])):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import latticeknot as lk
-from latticeknot import dataset, jsonio
+from latticeknot import dataset
 
 from conftest import star_in_order
 
@@ -140,13 +140,6 @@ class TestCheckBounds:
 
 
 class TestCertificateJson:
-    def test_round_trip(self, p6):
-        _, cert = lk.construct_auto(p6)
-        cert = lk.check_bounds(cert, 4)
-        text = jsonio.canonical_dumps(cert.to_json_obj())
-        back = jsonio.certificate_from_obj(__import__("json").loads(text))
-        assert back == cert
-
     def test_stick_count_equals_polygon(self):
         rng = random.Random(71)
         for _ in range(20):

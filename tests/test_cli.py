@@ -591,6 +591,7 @@ class TestRoundTrips:
             {"axis": "x", "range": [0, 1, 2], "fixed": {"y": 1, "z": 1}},
             {"axis": "x", "range": [0, 1], "fixed": {"y": 1.0, "z": 1}},
             {"axis": "x", "range": [0, 1], "fixed": {"y": "1", "z": 1}},
+            {"axis": "x", "range": [0, 1], "fixed": {"x": 5, "y": 0, "z": 0}},
         ],
     )
     def test_polygon_rejects_non_integer_coordinates(self, stick):

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import latticeknot as lk
 from latticeknot import LatticePolygon, LatticeStick
 from latticeknot.certify import build_branch
-from latticeknot.diagram import _assemble, _try_projection, segment_crossings, segment_scales
-from latticeknot.render import _screen
+from latticeknot.diagram import _assemble, _try_projection, segment_crossings
+from latticeknot.render import _depth, _screen
 
 from conftest import certified_polygon
 
@@ -70,31 +70,38 @@ def few_direction_polylines(draw):
 
 class TestSegmentCrossings:
     def test_transversal_hit_exact(self):
-        # segments 0 and 2 cross at (4, 2), t1 = 36/54 and t2 = 18/54;
-        # segments 1 and 3 are parallel
+        # segments 0 and 2 cross at (4, 2), t1 = 2/3 and t2 = 1/3; the
+        # classes (2, 1), (0, 1) and (1, -1) give C = lcm(2, 3, 1) = 6, so
+        # the scales are 3 * 6 and 6 * 6.  Depths 2 and 1 there: s1 is over.
+        # Segments 1 and 3 are parallel
         pts = [(0, 0), (6, 3), (6, 0), (0, 6)]
-        assert list(segment_crossings(pts)) == [(0, 2, 36, 18, 54)]
+        assert segment_crossings(pts, [0, 3, 0, 3]) == ([18, 18, 36, 36], [(0, 2, 12, 12, 1, 1)])
 
     def test_boundary_contact_reported(self):
-        # vertex (2, 0) ends segment 2 on the interior of segment 0:
-        # t1 = -4/-8 and t2 = -8/-8; segments 1 and 3 miss each other
+        # vertex (2, 0) ends segment 2 on the interior of segment 0: t1 = 1/2
+        # and t2 = 1, with C = 1, and s2 comes from the left; both depths
+        # are 1 there.  Segments 1 and 3 miss each other
         pts = [(0, 0), (4, 0), (4, 2), (2, 0)]
-        assert list(segment_crossings(pts)) == [(0, 2, -4, -8, -8)]
+        assert segment_crossings(pts, [0, 2, 2, 1]) == ([4, 2, 2, 2], [(0, 2, 2, 2, -1, 0)])
 
     def test_adjacent_segments_never_paired(self):
         pts = [(0, 0), (2, 0), (2, 2), (0, 2)]
-        assert list(segment_crossings(pts)) == []
+        assert segment_crossings(pts, [0, 0, 0, 0]) == ([2, 2, 2, 2], [])
 
     @staticmethod
-    def assert_like_reference(pts):
-        got = list(segment_crossings(pts))
+    def assert_like_reference(pts, depths):
+        scales, got = segment_crossings(pts, depths)
         want = list(reference_segment_crossings(pts))
-        assert [(s1, s2, den) for s1, s2, _, _, den in got] == [
-            (s1, s2, den) for s1, s2, _, _, den in want
-        ]
-        for (_, _, n1, n2, den), (_, _, t1, t2, _) in zip(got, want):
-            assert type(n1) is int and type(n2) is int
-            assert Fraction(n1, den) == t1 and Fraction(n2, den) == t2
+        assert len(scales) == len(pts) and all(type(K) is int and K > 0 for K in scales)
+        assert [(s1, s2) for s1, s2, *_ in got] == [(s1, s2) for s1, s2, *_ in want]
+        m = len(pts)
+        for (_, _, k1, k2, sign, over), (s1, s2, t1, t2, den) in zip(got, want):
+            assert all(type(v) is int for v in (k1, k2, sign, over))
+            assert Fraction(k1, scales[s1]) == t1 and Fraction(k2, scales[s2]) == t2
+            assert sign == (1 if den > 0 else -1)
+            here = depths[s1] + t1 * (depths[(s1 + 1) % m] - depths[s1])
+            there = depths[s2] + t2 * (depths[(s2 + 1) % m] - depths[s2])
+            assert over == (here > there) - (here < there)
         return len(got)
 
     def test_integer_kernel_meets_like_the_fraction_reference(self):
@@ -105,36 +112,48 @@ class TestSegmentCrossings:
             poly = build_branch(lk.random_presentation(a, rng), "auto")[1]
             verts = poly.vertices()
             B = max(abs(c) for v in verts for c in v) + 2
-            hits += self.assert_like_reference([_screen(v) for v in verts])
-            hits += self.assert_like_reference([(B * x - y, B * B * x - z) for x, y, z in verts])
+            hits += self.assert_like_reference(
+                [_screen(v) for v in verts], [_depth(v) for v in verts]
+            )
+            hits += self.assert_like_reference(
+                [(B * x - y, B * B * x - z) for x, y, z in verts],
+                [x + B * y + B * B * z for x, y, z in verts],
+            )
         assert hits > 10000
 
     def test_zero_length_segment_skipped(self):
         # segment 1 repeats the vertex (4, 0): parallel to everything, never
-        # paired.  Segment 2 starts where segment 0 ends (t1 = 1, t2 = 0),
-        # segment 3 crosses segment 0 at (2, 0), and 2 and 4 are parallel
+        # paired, and scaled by C = 1.  Segment 2 starts where segment 0
+        # ends (t1 = 1, t2 = 0) at one depth, segment 3 crosses segment 0
+        # at (2, 0) below it (t1 = t2 = 1/2), and 2 and 4 are parallel
         pts = [(0, 0), (4, 0), (4, 0), (2, 2), (2, -2)]
-        got = list(segment_crossings(pts))
-        assert got == [(0, 2, 8, 0, 8), (0, 3, -8, -8, -16)]
-        self.assert_like_reference(pts)
+        depths = [0, 4, 4, 1, -1]
+        scales, got = segment_crossings(pts, depths)
+        assert scales == [4, 1, 2, 4, 2]
+        assert got == [(0, 2, 4, 0, 1, 0), (0, 3, 2, 2, -1, 1)]
+        self.assert_like_reference(pts, depths)
 
     @settings(max_examples=300, deadline=None)
-    @given(few_direction_polylines())
-    def test_few_direction_polylines_like_the_fraction_reference(self, pts):
-        self.assert_like_reference(pts)
+    @given(few_direction_polylines(), st.data())
+    def test_few_direction_polylines_like_the_fraction_reference(self, pts, data):
+        depths = data.draw(st.lists(st.integers(-3, 3), min_size=len(pts), max_size=len(pts)))
+        self.assert_like_reference(pts, depths)
 
     def test_integer_kernel_at_coordinates_near_2_to_the_40(self):
         """Generic polylines, and grid ones with shared vertices and collinear overlaps."""
         rng = random.Random(4041)
-        contacts = 0
+        contacts = ties = 0
         for _ in range(40):
             m = rng.randint(4, 30)
             pts = [(rng.randint(-2**40, 2**40), rng.randint(-2**40, 2**40)) for _ in range(m)]
-            self.assert_like_reference(pts)
+            self.assert_like_reference(pts, [rng.randint(-2**40, 2**40) for _ in range(m)])
             grid = [(rng.randint(-4, 4) << 38, rng.randint(-4, 4) << 38) for _ in range(m)]
-            self.assert_like_reference(grid)
-            contacts += sum(n1 in (0, den) for _, _, n1, _, den in segment_crossings(grid))
-        assert contacts > 0
+            depths = [rng.randint(-2, 2) << 38 for _ in range(m)]
+            self.assert_like_reference(grid, depths)
+            scales, found = segment_crossings(grid, depths)
+            contacts += sum(k1 in (0, scales[s1]) for s1, _, k1, _, _, _ in found)
+            ties += sum(over == 0 for *_, over in found)
+        assert contacts > 0 and ties > 0
 
 
 class TestSegmentScales:
@@ -147,27 +166,23 @@ class TestSegmentScales:
         leaves one key fractional.
         """
         pts = [(0, 0), (1, 0), (0, -2), (1, 1), (-1, -3)]
-        scales = segment_scales(pts)
+        depths = [0] * len(pts)
+        scales, found = segment_crossings(pts, depths)
         assert scales == [6, 6, 6, 12, 6]  # segment 3 is 2 * (-1, -2)
-        keys: dict[int, list[tuple[int, Fraction]]] = {}
-        for s1, s2, n1, n2, den in segment_crossings(pts):
-            for s, n in ((s1, n1), (s2, n2)):
-                key, rest = divmod(n * scales[s], den)
-                assert rest == 0
-                assert Fraction(key, scales[s]) == Fraction(n, den)
-                keys.setdefault(s, []).append((key, Fraction(n, den)))
-        assert sorted(keys[0]) == [(3, Fraction(1, 2)), (4, Fraction(2, 3))]
+        assert found == [(0, 2, 4, 4, 1, 0), (0, 3, 3, 3, -1, 0)]
+        TestSegmentCrossings.assert_like_reference(pts, depths)
 
     @settings(max_examples=200, deadline=None)
     @given(few_direction_polylines())
     def test_keys_of_few_direction_polylines_are_integers_in_parameter_order(self, pts):
-        scales = segment_scales(pts)
+        _, found = segment_crossings(pts, [0] * len(pts))
         hits: dict[int, list[tuple[int, Fraction]]] = {}
-        for s1, s2, n1, n2, den in segment_crossings(pts):
-            for s, n in ((s1, n1), (s2, n2)):
-                key, rest = divmod(n * scales[s], den)
-                assert rest == 0
-                hits.setdefault(s, []).append((key, Fraction(n, den)))
+        want = list(reference_segment_crossings(pts))
+        assert [h[:2] for h in found] == [h[:2] for h in want]
+        for (s1, s2, k1, k2, _, _), (_, _, t1, t2, _) in zip(found, want):
+            for s, k, t in ((s1, k1, t1), (s2, k2, t2)):
+                assert type(k) is int
+                hits.setdefault(s, []).append((k, t))
         for row in hits.values():
             # equal keys exactly at equal parameters, and the same order
             assert sorted(row) == sorted(row, key=lambda h: h[1])
@@ -348,9 +363,11 @@ def test_triple_point_alone_rejects_a_direction():
     B = 2
     pts = [(B * x - y, B * B * x - z) for x, y, z in verts]
     assert len(set(pts)) == len(pts)
-    crossings = list(segment_crossings(pts))
+    scales, crossings = segment_crossings(pts, [x + B * y + B * B * z for x, y, z in verts])
+    # every crossing interior to both edges, at distinct depths
     assert crossings and all(
-        0 < Fraction(n1, den) < 1 and 0 < Fraction(n2, den) < 1 for _, _, n1, n2, den in crossings
+        0 < k1 < scales[s1] and 0 < k2 < scales[s2] and over
+        for s1, s2, k1, k2, _, over in crossings
     )
     assert _try_projection(verts, B) is None
     # with every contact interior, the reference's scan can only fire on its triple point
