@@ -16,7 +16,6 @@ import sys
 from . import dataset
 from .arc import (
     ArcPresentation,
-    PresentationError,
     dual,
     is_star_shaped,
     random_presentation,
@@ -26,7 +25,6 @@ from .arc import (
 )
 from .certify import (
     MAX_ARC_COUNT,
-    ArcCountOutOfRangeError,
     build_branch,
     check_bounds,
     construct_auto,
@@ -42,7 +40,7 @@ from .diagram import (
 )
 from .errors import InternalInvariantError
 from .jsonio import canonical_dumps, detect_input, presentation_from_obj, polygon_from_obj
-from .lattice import LatticePolygon, SelfIntersectionError, require_valid
+from .lattice import LatticePolygon, SelfIntersectionError
 from .render import render_obj, render_svg
 
 EXIT_OK = 0
@@ -184,7 +182,7 @@ def _cmd_certify(args) -> int:
 def _cmd_render(args) -> int:
     if not args.svg and not args.obj:
         raise _UsageError("render needs --svg and/or --obj")
-    poly = require_valid(polygon_from_obj(_read_json(args.file)))
+    poly = polygon_from_obj(_read_json(args.file))
     if args.svg:
         _write_text(args.svg, render_svg(poly))
     if args.obj:
@@ -338,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         _diagnose(f"usage error: {exc}")
         return EXIT_USAGE
-    except (PresentationError, ArcCountOutOfRangeError, SelfIntersectionError, ValueError, KeyError) as exc:
+    except (SelfIntersectionError, ValueError, KeyError) as exc:
         _diagnose(f"invalid input: {exc}")
         return EXIT_INVALID
     except (InternalInvariantError, NoGenericDirectionError) as exc:

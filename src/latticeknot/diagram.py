@@ -31,7 +31,7 @@ from math import gcd, isqrt, lcm
 
 from .arc import ArcPresentation
 from .errors import InternalInvariantError
-from .lattice import LatticePolygon, require_valid
+from .lattice import LatticePolygon
 from .laurent import LaurentPolynomial, canonicalize
 
 
@@ -317,7 +317,8 @@ def arc_to_planar(P: ArcPresentation) -> PlanarDiagram:
 def project_polygon(poly: LatticePolygon) -> PlanarDiagram:
     """Project along the first generic direction (1, B, B**2), B = M+2, M+3, ...
 
-    M is the largest coordinate magnitude.  Genericity is decided in
+    M is the largest coordinate magnitude.  The polygon was validated when
+    it was made, so no check repeats here.  Genericity is decided in
     exact integer arithmetic: distinct vertex images, then one
     segment_crossings scan that rejects any contact at an edge's end, which
     covers vertices on edges and collinear overlaps since consecutive sticks
@@ -327,7 +328,7 @@ def project_polygon(poly: LatticePolygon) -> PlanarDiagram:
     the sign of the difference of the two depths along the projection
     direction at the crossing (larger depth is nearer the viewer).
     """
-    verts = require_valid(poly).vertices()
+    verts = poly.vertices()
     M = max(1, max(abs(c) for v in verts for c in v))
     for B in range(M + 2, M + 2 + 64):
         result = _try_projection(verts, B)

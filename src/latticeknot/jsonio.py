@@ -20,33 +20,45 @@ MAX_STICKS = 3 * MAX_ARC_COUNT
 # constructions use coordinates 1..64; this bound keeps isometric screen
 # coordinates below 2**46, where a double still resolves the SVG's hundredths
 MAX_COORD = 2**40
+# the exact key set of each object kind; any other key is invalid input
+PRESENTATION_KEYS = ("arcs",)
+POLYGON_KEYS = ("sticks",)
+STICK_KEYS = ("axis", "range", "fixed")
 
 
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _is_object_with(obj, keys: tuple[str, ...]) -> bool:
+    return isinstance(obj, dict) and obj.keys() == set(keys)
+
+
+def _fields(obj, keys: tuple[str, ...], what: str) -> list:
+    """The values of keys in obj, which must be an object with exactly those keys."""
+    if not _is_object_with(obj, keys):
+        names = ", ".join(map(json.dumps, keys))
+        raise ValueError(f"{what} must be an object with exactly the keys {names}")
+    return [obj[k] for k in keys]
+
+
 def presentation_from_obj(obj) -> ArcPresentation:
-    if not isinstance(obj, dict) or "arcs" not in obj:
-        raise ValueError('expected an object with an "arcs" key')
-    return validate(obj["arcs"])
+    (arcs,) = _fields(obj, PRESENTATION_KEYS, "a presentation")
+    return validate(arcs)
 
 
 def polygon_from_obj(obj) -> LatticePolygon:
-    if not isinstance(obj, dict) or not isinstance(obj.get("sticks"), list):
-        raise ValueError('expected an object with a "sticks" list')
-    if len(obj["sticks"]) > MAX_STICKS:
-        raise ValueError(f"a polygon may have at most {MAX_STICKS} sticks, got {len(obj['sticks'])}")
+    """Read a polygon; the LatticePolygon validates itself, once, as it is made."""
+    (raw_sticks,) = _fields(obj, POLYGON_KEYS, "a polygon")
+    if not isinstance(raw_sticks, list):
+        raise ValueError('"sticks" must be a list')
+    if len(raw_sticks) > MAX_STICKS:
+        raise ValueError(f"a polygon may have at most {MAX_STICKS} sticks, got {len(raw_sticks)}")
     sticks = []
-    for k, raw in enumerate(obj["sticks"]):
+    for k, raw in enumerate(raw_sticks):
         try:
-            axis = raw["axis"]
-            lo, hi = raw["range"]
-            n1, n2 = FIXED_COORDS[axis]
-            fixed = raw["fixed"]
-            if not isinstance(fixed, dict) or fixed.keys() != {n1, n2}:
-                raise ValueError(f'"fixed" must hold exactly "{n1}" and "{n2}"')
-            coords = (lo, hi, fixed[n1], fixed[n2])
+            axis, (lo, hi), fixed = _fields(raw, STICK_KEYS, "a stick")
+            coords = (lo, hi, *_fields(fixed, FIXED_COORDS[axis], '"fixed"'))
             if not all(type(v) is int for v in coords):
                 raise ValueError("coordinates must be integers")
             if any(abs(v) > MAX_COORD for v in coords):
@@ -58,16 +70,16 @@ def polygon_from_obj(obj) -> LatticePolygon:
 
 
 def detect_input(obj):
-    """Parse a JSON object as a presentation or a polygon, whichever fits.
+    """Parse a JSON object as a presentation or a polygon, by its exact key set.
 
     A presentation may have at most MAX_ARC_COUNT arcs, the pipeline's
     range, since its diagram goes on to the Alexander stage.
     """
-    if isinstance(obj, dict) and "arcs" in obj:
+    if _is_object_with(obj, PRESENTATION_KEYS):
         arcs = obj["arcs"]
         if isinstance(arcs, list) and len(arcs) > MAX_ARC_COUNT:
             raise ValueError(f"a presentation may have at most {MAX_ARC_COUNT} arcs, got {len(arcs)}")
         return presentation_from_obj(obj)
-    if isinstance(obj, dict) and "sticks" in obj:
+    if _is_object_with(obj, POLYGON_KEYS):
         return polygon_from_obj(obj)
-    raise ValueError('expected an object with an "arcs" or "sticks" key')
+    raise ValueError('expected an object with exactly one key, "arcs" or "sticks"')

@@ -6,7 +6,8 @@ the 3a build walks the knot once; the two end reductions to 3a-2 slide
 the corners at bindings 1 and a off the diagonal; the flip-and-lift to
 3a-4 puts the page-1 arc above the diagonal and raises its three corners
 to z = lift_page.  One normaliser turns a cycle into sticks in canonical
-order, and every polygon is validated by exact integer interval arithmetic.
+order.  A LatticePolygon is validated once, by exact integer interval
+arithmetic, when it is made, and cannot exist invalid.
 """
 
 from __future__ import annotations
@@ -72,24 +73,25 @@ class LatticeStick:
 
 @dataclass(frozen=True)
 class LatticePolygon:
-    """Closed self-avoiding cycle of sticks, stored in cyclic order."""
+    """Closed self-avoiding cycle of sticks, stored in cyclic order.
+
+    Construction validates it, so every polygon that exists is valid.
+    """
 
     sticks: tuple[LatticeStick, ...]
 
+    def __post_init__(self):
+        violations = validate_polygon(self)
+        if violations:
+            raise SelfIntersectionError(violations)
+
     @cached_property
     def _corners(self) -> tuple[Point, ...]:
-        """vertices(), derived once per polygon; not cached when it raises."""
-        m = len(self.sticks)
+        """vertices(), derived once; validation made each shared endpoint unique."""
         out = []
-        for k in range(m):
-            prev = self.sticks[(k - 1) % m]
-            cur = self.sticks[k]
-            shared = set(prev.endpoints()) & set(cur.endpoints())
-            if len(shared) != 1:
-                raise InternalInvariantError(
-                    f"sticks {(k - 1) % m} and {k} share {len(shared)} endpoints"
-                )
-            out.append(shared.pop())
+        for prev, cur in zip(self.sticks[-1:] + self.sticks[:-1], self.sticks):
+            (corner,) = set(prev.endpoints()) & set(cur.endpoints())
+            out.append(corner)
         return tuple(out)
 
     def vertices(self) -> list[Point]:
@@ -136,15 +138,16 @@ def _overlap_points(box1: tuple, box2: tuple) -> int:
 def validate_polygon(poly: LatticePolygon) -> list[Violation]:
     """Check every polygon invariant; an empty list means the polygon is valid.
 
-    Two passes.  Consecutive sticks must lie on different axes and share
-    exactly one endpoint, the test vertices() makes; for perpendicular
-    sticks that is the same as meeting in one point that ends both.
-    Non-adjacent sticks must share no lattice point; only pairs in a common
-    coordinate plane are compared, so the cost is quadratic only in the
-    largest number of sticks that share one plane.  A stick that meets
-    both neighbours at one point p needs no check of its own: its two
-    neighbours both contain p and, for m >= 4, are not adjacent, so the
-    second pass reports them as an overlap.
+    LatticePolygon runs it once, at construction, and raises
+    SelfIntersectionError on a non-empty list.  Two passes.  Consecutive
+    sticks must lie on different axes and share exactly one endpoint, the
+    corner vertices() reads; for perpendicular sticks that is the same as
+    meeting in one point that ends both.  Non-adjacent sticks must share
+    no lattice point; only pairs in a common coordinate plane are compared,
+    so the cost is quadratic only in the largest number of sticks that
+    share one plane.  A stick that meets both neighbours at one point p
+    needs no check of its own: its two neighbours both contain p and, for
+    m >= 4, are not adjacent, so the second pass reports them as an overlap.
     """
     sticks = poly.sticks
     m = len(sticks)
@@ -193,14 +196,6 @@ def validate_polygon(poly: LatticePolygon) -> list[Violation]:
     return violations
 
 
-def require_valid(poly: LatticePolygon) -> LatticePolygon:
-    """Return poly, or raise SelfIntersectionError with its violations."""
-    violations = validate_polygon(poly)
-    if violations:
-        raise SelfIntersectionError(violations)
-    return poly
-
-
 def _step(p: Point, q: Point) -> list[int]:
     """Sign of q - p in each coordinate."""
     return [(v > u) - (v < u) for u, v in zip(p, q)]
@@ -239,10 +234,9 @@ def _polygon(cycle: list[Point]) -> LatticePolygon:
 
 
 def _checked(cycle: list[Point], sticks: int | None = None) -> LatticePolygon:
-    """The validated polygon of a constructed cycle; any failure is a bug."""
-    poly = _polygon(cycle)
+    """The polygon of a constructed cycle; an invalid one is a bug."""
     try:
-        require_valid(poly)
+        poly = _polygon(cycle)
     except SelfIntersectionError as exc:
         raise InternalInvariantError(f"constructed polygon is invalid: {exc}") from exc
     if sticks is not None and len(poly.sticks) != sticks:

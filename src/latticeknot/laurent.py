@@ -104,18 +104,6 @@ class LaurentPolynomial:
                 d[e] = d.get(e, 0) + c1 * c2
         return LaurentPolynomial(d)
 
-    def __pow__(self, n: int) -> "LaurentPolynomial":
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shifted(self, k: int) -> "LaurentPolynomial":
         """Multiply by t**k."""
         return LaurentPolynomial({e + k: c for e, c in self._coeffs.items()})

@@ -41,12 +41,13 @@ def render_svg(poly: LatticePolygon) -> str:
     scales, found = segment_crossings(pts, [_depth(v) for v in verts])
 
     # under-passage centres, each its parameter times the segment's scale.
-    # Touching strands need no gap.  Equal depths need none either: the
-    # screen-and-depth map has determinant 54030, so they mean one 3-D point
-    # on two non-adjacent sticks, which only an invalid polygon has
+    # Touching strands need no gap.  Depths are never equal at a crossing:
+    # the screen-and-depth map has determinant 54030, so equal depths would
+    # mean one 3-D point on two non-adjacent sticks, which a polygon, valid
+    # by construction, does not have
     centres: list[list[int]] = [[] for _ in range(m)]
     for s1, s2, k1, k2, _, over in found:
-        if over and 0 < k1 < scales[s1] and 0 < k2 < scales[s2]:
+        if 0 < k1 < scales[s1] and 0 < k2 < scales[s2]:
             s, c = (s2, k2) if over > 0 else (s1, k1)
             centres[s].append(c)
 

@@ -608,6 +608,39 @@ class TestRoundTrips:
         assert jsonio.canonical_dumps(poly.to_json_obj()) == out.strip()
 
 
+_FIG8 = [[1, 3], [2, 5], [4, 6], [3, 5], [1, 4], [2, 6]]
+
+
+def _fig8_polygon_with_stick_key(key):
+    doc = lk.construct_basic(lk.validate(_FIG8)).to_json_obj()
+    doc["sticks"][0][key] = "x"
+    return doc
+
+
+class TestExactKeySets:
+    """Each object kind has one exact key set; a document with any other key exits 4."""
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            (["invariant"], {"arcs": [[1, 2], [1, 2]], "sticks": 5}),
+            (["validate"], {"arcs": [[1, 2], [1, 2]], "sticks": 5}),
+            (["invariant"], {"arcs": _FIG8, "arcs_extra": 1}),
+            (["certify", "--c", "4"], {"arcs": _FIG8, "arcs_extra": 1}),
+            (["invariant"], _fig8_polygon_with_stick_key("axis2")),
+            (["render", "--obj", os.devnull], _fig8_polygon_with_stick_key("axis2")),
+        ],
+        ids=["both-kinds-invariant", "both-kinds-validate", "arcs_extra-invariant",
+             "arcs_extra-certify", "axis2-invariant", "axis2-render"],
+    )
+    def test_unknown_key_exit_4(self, command, doc):
+        code, out, err = run([*command, "-"], stdin_text=json.dumps(doc))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("invalid input: ")
+        assert "exactly" in err
+
+
 _SCALARS = st.one_of(
     st.integers(-2, 10),
     st.floats(allow_nan=False, allow_infinity=False, width=32),
@@ -653,6 +686,32 @@ def _polygon_docs(draw):
     return {"sticks": draw(st.just(doc["sticks"]) | _ANY_JSON)}
 
 
+@st.composite
+def _docs_with_an_unknown_key(draw):
+    """A valid presentation or polygon with one unknown key added to one of its objects.
+
+    The objects are the document itself, each stick and each stick's "fixed".
+    """
+    P = lk.random_presentation(draw(st.integers(5, 7)), random.Random(draw(st.integers(0, 2**16))))
+    doc = P.to_json_obj() if draw(st.booleans()) else lk.construct_basic(P).to_json_obj()
+    objects = [doc]
+    for stick in doc.get("sticks", []):
+        objects += [stick, stick["fixed"]]
+    target = draw(st.sampled_from(objects))
+    key = draw(st.text(max_size=6).filter(lambda k: k not in target))
+    target[key] = draw(_SCALARS)
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_docs_with_an_unknown_key())
+def test_an_unknown_key_at_any_depth_exits_4(doc):
+    code, out, err = run(["invariant", "-"], stdin_text=json.dumps(doc))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("invalid input: ")
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     command=st.sampled_from(
@@ -667,7 +726,7 @@ def _polygon_docs(draw):
             ("render", "--svg", os.devnull),
         ]
     ),
-    doc=_presentation_docs() | _polygon_docs() | _ANY_JSON,
+    doc=_presentation_docs() | _polygon_docs() | _docs_with_an_unknown_key() | _ANY_JSON,
 )
 @example(command=("invariant",), doc={"sticks": 5})
 @example(command=("render", "--svg", os.devnull), doc=_far_square(10**400))

@@ -1,14 +1,15 @@
 """Lattice polygon constructions and exact geometry validation."""
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import latticeknot as lk
-from latticeknot import LatticePolygon, LatticeStick
-from latticeknot.errors import InternalInvariantError
-from latticeknot.lattice import Violation, require_valid
+import latticeknot.lattice as lattice_mod
+from latticeknot import LatticePolygon, LatticeStick, cli, dataset
+from latticeknot.lattice import Violation
 
 
 def unit_square():
@@ -20,6 +21,15 @@ def unit_square():
             LatticeStick("y", 0, 1, 0, 0),
         )
     )
+
+
+def _violations(sticks):
+    """validate_polygon's verdict on sticks: [], or the violations construction raises."""
+    try:
+        LatticePolygon(tuple(sticks))
+    except lk.SelfIntersectionError as exc:
+        return exc.violations
+    return []
 
 
 class TestStick:
@@ -47,7 +57,7 @@ class TestValidatePolygon:
 
     def test_nonadjacent_overlap_reported(self):
         # a planar loop whose last y-stick lands inside the bottom x-stick
-        poly = LatticePolygon(
+        violations = _violations(
             (
                 LatticeStick("x", 0, 4, 0, 0),
                 LatticeStick("y", 0, 4, 4, 0),
@@ -58,11 +68,11 @@ class TestValidatePolygon:
                 LatticeStick("x", 0, 2, 0, 0),
             )
         )
-        kinds = {v.kind for v in lk.validate_polygon(poly)}
+        kinds = {v.kind for v in violations}
         assert "overlap" in kinds
 
     def test_same_axis_consecutive_reported(self):
-        poly = LatticePolygon(
+        violations = _violations(
             (
                 LatticeStick("x", 0, 1, 0, 0),
                 LatticeStick("x", 1, 2, 0, 0),
@@ -71,11 +81,11 @@ class TestValidatePolygon:
                 LatticeStick("y", 0, 1, 0, 0),
             )
         )
-        kinds = {v.kind for v in lk.validate_polygon(poly)}
+        kinds = {v.kind for v in violations}
         assert "axis_repeat" in kinds
 
     def test_disconnected_corners_reported(self):
-        poly = LatticePolygon(
+        violations = _violations(
             (
                 LatticeStick("x", 0, 1, 0, 0),
                 LatticeStick("y", 0, 1, 5, 0),
@@ -83,14 +93,12 @@ class TestValidatePolygon:
                 LatticeStick("y", 0, 1, 0, 0),
             )
         )
-        kinds = {v.kind for v in lk.validate_polygon(poly)}
+        kinds = {v.kind for v in violations}
         assert "corner" in kinds
 
     def test_too_few_sticks(self):
-        poly = LatticePolygon(
-            (LatticeStick("x", 0, 1, 0, 0), LatticeStick("y", 0, 1, 1, 0))
-        )
-        kinds = {v.kind for v in lk.validate_polygon(poly)}
+        violations = _violations((LatticeStick("x", 0, 1, 0, 0), LatticeStick("y", 0, 1, 1, 0)))
+        kinds = {v.kind for v in violations}
         assert "too_few_sticks" in kinds
 
 
@@ -227,7 +235,8 @@ class TestLiftSweep:
 
 
 # The stick-surgery builders that the corner cycles replaced, kept as the
-# reference the rewrite must reproduce stick for stick, order included.
+# reference the rewrite must reproduce stick for stick, order included.  They
+# return stick tuples: an intermediate state need not be a valid polygon.
 
 
 def reference_cyclic_order(sticks):
@@ -247,11 +256,11 @@ def reference_cyclic_order(sticks):
         e1, e2 = sticks[nxt].endpoints()
         cursor = e2 if e1 == cursor else e1
     assert cursor == sticks[start].endpoints()[0]
-    return LatticePolygon(tuple(sticks[k] for k in order))
+    return tuple(sticks[k] for k in order)
 
 
-def reference_merge_collinear(poly):
-    sticks = list(poly.sticks)
+def reference_merge_collinear(sticks):
+    sticks = list(sticks)
     changed = True
     while changed and len(sticks) > 2:
         changed = False
@@ -267,7 +276,7 @@ def reference_merge_collinear(poly):
                     sticks = sticks[:k] + [merged] + sticks[k + 2:]
                 changed = True
                 break
-    return LatticePolygon(tuple(sticks))
+    return tuple(sticks)
 
 
 def reference_basic_sticks(P, flip_page=None):
@@ -374,12 +383,12 @@ class TestCornerCycle:
         nonstar = 0
         for P in self.presentations():
             basic = lk.construct_basic(P)
-            assert basic.sticks == reference_basic(P).sticks
-            assert lk.reduce_ends(P).sticks == reference_reduced(P).sticks
+            assert basic.sticks == reference_basic(P)
+            assert lk.reduce_ends(P).sticks == reference_reduced(P)
             if lk.is_star_shaped(P):
                 continue
             nns = normalized(P)
-            assert lk.construct_nonstar(nns).sticks == reference_nonstar(nns, nns.lift_page).sticks
+            assert lk.construct_nonstar(nns).sticks == reference_nonstar(nns, nns.lift_page)
             nonstar += 1
         assert nonstar >= 40
 
@@ -394,7 +403,7 @@ class TestCornerCycle:
                 nns = normalized(P)
                 sweep = lk.lift_sweep(nns)
                 for level, poly in enumerate(sweep, start=1):
-                    assert poly.sticks == reference_nonstar(nns, level).sticks
+                    assert poly.sticks == reference_nonstar(nns, level)
                 levels += len(sweep)
         assert levels >= 50
 
@@ -437,9 +446,8 @@ def reference_overlap_points(s, t):
     return total
 
 
-def reference_validate_polygon(poly):
+def reference_validate_polygon(sticks):
     """The three-pass validator that one consecutive and one non-adjacent pass replaced."""
-    sticks = poly.sticks
     m = len(sticks)
     violations = []
     if m < 4:
@@ -524,14 +532,14 @@ def random_closed_walk(rng, box=3, axes=3, steps=10):
         c1, c2 = (p[e] for e in range(3) if e != d)
         v = rng.choice([v for v in range(box + 1) if v != p[d]])
         sticks.insert(k, LatticeStick("xyz"[d], min(p[d], v), max(p[d], v), c1, c2))
-    return LatticePolygon(tuple(sticks))
+    return tuple(sticks)
 
 
-def assert_validates_like_reference(poly):
-    new, old = lk.validate_polygon(poly), reference_validate_polygon(poly)
+def assert_validates_like_reference(sticks):
+    new, old = _violations(sticks), reference_validate_polygon(sticks)
     assert (new == []) == (old == [])
     if not new:
-        assert len(poly.vertices()) == len(poly.sticks)
+        assert len(LatticePolygon(sticks).vertices()) == len(sticks)
     assert [v for v in new if v.kind == "overlap"] == [v for v in old if v.kind == "overlap"]
     repeats = {v.sticks for v in new if v.kind == "axis_repeat"}
     assert repeats == {v.sticks for v in old if v.kind == "axis_repeat"}
@@ -579,30 +587,26 @@ class TestValidateAgainstReference:
         valid = overlaps = 0
         for _ in range(500):
             steps = rng.choice([4, 30])
-            poly = random_closed_walk(rng, box=rng.choice([3, 12]), axes=2, steps=steps)
-            assert len({v[2] for s in poly.sticks for v in s.endpoints()}) == 1
-            old = assert_validates_like_reference(poly)
+            sticks = random_closed_walk(rng, box=rng.choice([3, 12]), axes=2, steps=steps)
+            assert len({v[2] for s in sticks for v in s.endpoints()}) == 1
+            old = assert_validates_like_reference(sticks)
             valid += not old
             overlaps += sum(v.kind == "overlap" for v in old)
         assert valid >= 10 and overlaps >= 1000
 
     def test_spike_is_an_overlap_of_its_neighbours(self):
         # stick 1 runs up from (2, 0, 0) and meets sticks 0 and 2 only there
-        poly = LatticePolygon(
-            (
-                LatticeStick("x", 0, 2, 0, 0),
-                LatticeStick("z", 0, 1, 2, 0),
-                LatticeStick("y", 0, 2, 2, 0),
-                LatticeStick("x", 0, 2, 2, 0),
-                LatticeStick("y", 0, 2, 0, 0),
-            )
+        sticks = (
+            LatticeStick("x", 0, 2, 0, 0),
+            LatticeStick("z", 0, 1, 2, 0),
+            LatticeStick("y", 0, 2, 2, 0),
+            LatticeStick("x", 0, 2, 2, 0),
+            LatticeStick("y", 0, 2, 0, 0),
         )
-        assert lk.validate_polygon(poly) == [
+        assert _violations(sticks) == [
             Violation("overlap", (0, 2), "non-adjacent sticks share 1 points")
         ]
-        assert {v.kind for v in reference_validate_polygon(poly)} == {"open_chain", "overlap"}
-        with pytest.raises(lk.SelfIntersectionError):
-            require_valid(poly)
+        assert {v.kind for v in reference_validate_polygon(sticks)} == {"open_chain", "overlap"}
 
 
 def test_vertices_stay_correct_after_the_caller_changes_the_list(p6):
@@ -618,15 +622,48 @@ def test_vertices_stay_correct_after_the_caller_changes_the_list(p6):
 
 
 def test_vertices_raise_on_every_call_for_a_broken_corner():
-    # sticks 0 and 1 share no endpoint; the failure is not cached as a value
-    poly = LatticePolygon(
-        (
-            LatticeStick("x", 0, 1, 0, 0),
-            LatticeStick("y", 0, 1, 5, 0),
-            LatticeStick("x", 0, 1, 1, 0),
-            LatticeStick("y", 0, 1, 0, 0),
-        )
+    """A polygon whose corners vertices() cannot read is never made: every construction raises."""
+    # sticks 0 and 1 share no endpoint
+    sticks = (
+        LatticeStick("x", 0, 1, 0, 0),
+        LatticeStick("y", 0, 1, 5, 0),
+        LatticeStick("x", 0, 1, 1, 0),
+        LatticeStick("y", 0, 1, 0, 0),
     )
     for _ in range(2):
-        with pytest.raises(InternalInvariantError, match="share 0 endpoints"):
-            poly.vertices()
+        with pytest.raises(lk.SelfIntersectionError) as info:
+            LatticePolygon(sticks)
+        assert Violation(
+            "corner", (0, 1), "consecutive sticks share 0 endpoints, expected exactly 1"
+        ) in info.value.violations
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The polygons validate_polygon is called on, in call order."""
+    seen = []
+    real = lattice_mod.validate_polygon
+
+    def counted(poly):
+        seen.append(poly)
+        return real(poly)
+
+    monkeypatch.setattr(lattice_mod, "validate_polygon", counted)
+    return seen
+
+
+def test_one_validation_per_certify(validations):
+    names = dataset.names()
+    assert len(names) == 17
+    for name in names:
+        validations.clear()
+        poly, _ = lk.construct_auto(dataset.get(name).arcs)
+        assert validations == [poly], name
+
+
+def test_one_validation_per_render(tmp_path, validations):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(lk.construct_auto(dataset.get("7_4").arcs)[0].to_json_obj()))
+    validations.clear()
+    assert cli.main(["render", str(path), "--svg", str(tmp_path / "out.svg")]) == 0
+    assert len(validations) == 1

@@ -35,11 +35,6 @@ class TestArithmetic:
         assert p.shifted(3) == p * LP.t_power(3)
         assert p.shifted(-2) == p * LP.t_power(-2)
 
-    def test_pow(self):
-        p = LP({0: 1, 1: 1})
-        assert p**3 == LP.from_coeffs([1, 3, 3, 1])
-        assert p**0 == LP.one()
-
     def test_div_exact_round_trip(self):
         rng = random.Random(11)
         for _ in range(50):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import latticeknot as lk
@@ -241,20 +242,17 @@ class TestProjectPolygon:
                 assert len(lk.faces(D)) == D.n + 2
 
     def test_rejects_invalid_polygon(self):
-        poly = LatticePolygon(
-            (
-                LatticeStick("x", 0, 1, 0, 0),
-                LatticeStick("y", 0, 1, 5, 0),
-                LatticeStick("x", 0, 1, 1, 0),
-                LatticeStick("y", 0, 1, 0, 0),
+        """An invalid polygon never reaches project_polygon: constructing it raises."""
+        with pytest.raises(lk.SelfIntersectionError) as info:
+            LatticePolygon(
+                (
+                    LatticeStick("x", 0, 1, 0, 0),
+                    LatticeStick("y", 0, 1, 5, 0),
+                    LatticeStick("x", 0, 1, 1, 0),
+                    LatticeStick("y", 0, 1, 0, 0),
+                )
             )
-        )
-        try:
-            lk.project_polygon(poly)
-        except lk.SelfIntersectionError as exc:
-            assert exc.violations
-        else:
-            raise AssertionError("invalid polygon accepted")
+        assert "corner" in {v.kind for v in info.value.violations}
 
 
 def reference_try_projection(verts, B, fired):

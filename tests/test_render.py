@@ -96,24 +96,6 @@ def test_one_sweep_draws_like_the_piece_splitting_reference():
     assert gaps > 1000  # the gaps split segments into many pieces
 
 
-def test_sticks_through_one_point_get_no_gap():
-    """An invalid planar polygon: sticks 0 and 3 cross at (1, 1, 0), at equal depths."""
-    poly = LatticePolygon(
-        (
-            LatticeStick("y", 0, 2, 1, 0),
-            LatticeStick("x", 0, 1, 2, 0),
-            LatticeStick("y", 1, 2, 0, 0),
-            LatticeStick("x", 0, 2, 1, 0),
-            LatticeStick("y", 0, 1, 2, 0),
-            LatticeStick("x", 1, 2, 0, 0),
-        )
-    )
-    assert lk.validate_polygon(poly)
-    svg = render_svg(poly)
-    assert svg == reference_render_svg(poly)
-    assert svg.count("<line") == len(poly.sticks)
-
-
 def test_big_coordinates_draw_like_the_reference():
     """A certified a=64 polygon scaled by 2**34 reaches MAX_COORD; its cut denominators are big ints."""
     scale = 2**34
