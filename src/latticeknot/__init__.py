@@ -33,7 +33,6 @@ from .certify import (
     construct_auto,
 )
 from .diagram import (
-    Crossing,
     CrossingCapExceededError,
     NoGenericDirectionError,
     PlanarDiagram,
@@ -65,7 +64,6 @@ __all__ = [
     "ArcPresentation",
     "BoundCheck",
     "ConstructionCertificate",
-    "Crossing",
     "CrossingCapExceededError",
     "InternalInvariantError",
     "LatticePolygon",

@@ -252,10 +252,9 @@ def normalize_for_nonstar(P: ArcPresentation, w: NonStarWitness) -> NormalizedNo
 
     Rotating by a - gamma' sends gamma' to a, alpha' to alpha' + a - gamma'
     and beta' to beta' + a - gamma' (mod*).  Exactly one labeling of the two
-    far ends yields 1 < alpha < beta < a; both are tried.
+    far ends yields 1 < alpha < beta < a; it is the one taken.
     """
     a = P.a
-    candidates = []
     for alpha_raw, gamma_raw in (
         (w.alpha_raw, w.gamma_raw),
         (w.gamma_raw, w.alpha_raw),
@@ -264,12 +263,11 @@ def normalize_for_nonstar(P: ArcPresentation, w: NonStarWitness) -> NormalizedNo
         alpha = mod_star(alpha_raw + shift, a)
         beta = mod_star(w.beta_raw + shift, a)
         if 1 < alpha < beta < a:
-            candidates.append((alpha, beta, shift))
-    if not candidates:
+            break
+    else:
         raise InternalInvariantError(
             f"no far-end labeling of witness {w} normalizes to 1 < alpha < beta < a"
         )
-    alpha, beta, shift = min(candidates)
     rotated = rotate_bindings(P, shift)
     page_ab = rotated.page_of((alpha, beta))
     rotated = rotate_pages(rotated, 1 - page_ab)

@@ -4,21 +4,24 @@ Diagrams come from two sources: the grid picture of an arc presentation
 (vertical strands over horizontal, the standard grid convention) and exact
 generic projections of 3-D lattice polygons.  Invariants: Alexander
 polynomial of a Wirtinger minor, the knot determinant, and an optional
-Kauffman-bracket Jones polynomial.  A PlanarDiagram stores only its Gauss
-word (the passages in traversal order) and its crossing signs; passage j
-leaves on edge j, and edge 2n enters passage 1.  Simplification and the
-Wirtinger minor read only these.  The PD-style Crossing list is derived
-on demand for pd_code_text(), faces() and the Kauffman bracket, off the
-certify path.  The Wirtinger minor is written straight from the Gauss
-word as sparse integer rows {column: {exponent: coeff}}, at most 3
-nonzeros a row, and the Alexander determinant is one sparse fraction-free
-Bareiss elimination over Z after Kronecker substitution: the entries are
-packed into integers at t = 2**bits, where bits comes from a Hadamard
-bound on the coefficients of every minor, and the polynomial is read back
-from the balanced base-2**bits digits.  Pivots follow Markowitz's rule and
-a step rewrites only the rows with a nonzero in the pivot column; the
-others are rescaled lazily, when they are next touched.  A
-LaurentPolynomial is built only for the result.
+Kauffman-bracket Jones polynomial.  A PlanarDiagram stores only its
+Gauss word (the passages in traversal order) and its crossing signs;
+passage j leaves on edge j, and edge 2n enters passage 1.
+Simplification and the Wirtinger minor read only these.  Each passage is
+a pair (crossing, passes_over), and construction checks that every
+crossing is passed once over and once under.  The PD code, one tuple of
+four edge labels per crossing, is derived on demand for pd_code_text(),
+faces() and the Kauffman bracket, off the certify path.  The Wirtinger
+minor is written straight from the Gauss word as sparse integer rows
+{column: {exponent: coeff}}, at most 3 nonzeros a row, and the Alexander
+determinant is one sparse fraction-free Bareiss elimination over Z after
+Kronecker substitution: the entries are packed into integers at
+t = 2**bits, where bits comes from a Hadamard bound on the coefficients
+of every minor, and the polynomial is read back from the balanced
+base-2**bits digits.  Pivots follow Markowitz's rule and a step rewrites
+only the rows with a nonzero in the pivot column; the others are
+rescaled lazily, when they are next touched.  A LaurentPolynomial is
+built only for the result.
 """
 
 from __future__ import annotations
@@ -47,78 +50,62 @@ JONES_CAP = 20  # the Kauffman state sum visits 2**n states
 
 
 @dataclass(frozen=True)
-class Crossing:
-    """One crossing; fields are 1-based edge labels of the four strand ends.
-
-    sign is +1 when the over direction is the under direction rotated 90
-    degrees counterclockwise.  The counterclockwise slot order starting at
-    the incoming under strand is determined by the sign (see pd).
-    """
-
-    over_in: int
-    over_out: int
-    under_in: int
-    under_out: int
-    sign: int
-
-    @property
-    def pd(self) -> tuple[int, int, int, int]:
-        """Edge labels counterclockwise from the incoming under strand."""
-        if self.sign > 0:
-            return (self.under_in, self.over_in, self.under_out, self.over_out)
-        return (self.under_in, self.over_out, self.under_out, self.over_in)
-
-
-@dataclass(frozen=True)
 class PlanarDiagram:
     """A knot diagram stored as its Gauss word and its crossing signs.
 
-    gauss holds (crossing index, "O" or "U") per passage, in traversal
+    gauss holds (crossing index, passes_over) per passage, in traversal
     order, and signs[k] is crossing k's sign.  Edges are numbered 1..2n
     along the traversal: passage j (1-based) leaves on edge j, and edge 2n
-    enters passage 1.  crossings derives the edge labels from these.
+    enters passage 1.  A diagram is consistent by construction: each
+    crossing 0..n-1 is passed exactly once over and once under, or
+    InternalInvariantError is raised.  pd derives the edge labels.
     """
 
-    gauss: tuple[tuple[int, str], ...]
+    gauss: tuple[tuple[int, bool], ...]
     signs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.signs)
+        over, under = [0] * n, [0] * n
+        for ci, passes_over in self.gauss:
+            if not 0 <= ci < n:
+                break
+            (over if passes_over else under)[ci] += 1
+        else:
+            if over == under == [1] * n:
+                return
+        raise InternalInvariantError("each crossing must be passed once over and once under")
 
     @property
     def n(self) -> int:
         return len(self.signs)
 
     @property
-    def crossings(self) -> tuple[Crossing, ...]:
-        """One Crossing per crossing, labelled by its over and under passages."""
+    def pd(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Edge labels of each crossing, counterclockwise from the incoming under strand.
+
+        A crossing's sign is +1 when the over direction is the under
+        direction rotated 90 degrees counterclockwise; it then reads (under
+        in, over in, under out, over out), and with sign -1 (under in, over
+        out, under out, over in).
+        """
         total = len(self.gauss)
         over, under = [0] * self.n, [0] * self.n
-        for j, (ci, role) in enumerate(self.gauss, start=1):
-            (over if role == "O" else under)[ci] = j
-        # Crossing(over_in, over_out, under_in, under_out, sign)
-        return tuple(
-            Crossing(jo - 1 or total, jo, ju - 1 or total, ju, s)
-            for jo, ju, s in zip(over, under, self.signs)
-        )
-
-    def check(self) -> list[str]:
-        """Diagram invariant violations; empty when consistent."""
-        problems = []
-        n = self.n
-        if len(self.gauss) != 2 * n:
-            problems.append(f"gauss length {len(self.gauss)} != 2n = {2 * n}")
-        roles: dict[int, set[str]] = {}
-        for ci, role in self.gauss:
-            roles.setdefault(ci, set()).add(role)
-        if any(roles.get(ci) != {"O", "U"} for ci in range(n)):
-            problems.append("each crossing must be passed once over and once under")
-        return problems
+        for j, (ci, passes_over) in enumerate(self.gauss, start=1):
+            (over if passes_over else under)[ci] = j
+        pd = []
+        for jo, ju, s in zip(over, under, self.signs):
+            over_in, under_in = jo - 1 or total, ju - 1 or total
+            pd.append((under_in, over_in, ju, jo) if s > 0 else (under_in, jo, ju, over_in))
+        return tuple(pd)
 
     def mirror(self) -> "PlanarDiagram":
         """Swap over and under everywhere (mirror image diagram)."""
-        gauss = tuple([(ci, "U" if role == "O" else "O") for ci, role in self.gauss])
+        gauss = tuple([(ci, not passes_over) for ci, passes_over in self.gauss])
         return PlanarDiagram(gauss, tuple([-s for s in self.signs]))
 
     def pd_code_text(self) -> str:
-        return "\n".join("X({},{},{},{})".format(*c.pd) for c in self.crossings)
+        return "\n".join("X({},{},{},{})".format(*labels) for labels in self.pd)
 
 
 # ---------------------------------------------------------------------------
@@ -128,26 +115,13 @@ class PlanarDiagram:
 def _assemble(events: list[tuple[object, bool]], signs: dict) -> PlanarDiagram:
     """Build a diagram from traversal events (key, passes_over) and crossing signs.
 
-    Every key must occur exactly twice, once over and once under; signs
-    maps it to the crossing's sign.  Crossings are numbered in order of
-    first passage.
+    signs maps each key to its crossing's sign.  Crossings are numbered in
+    order of first passage; the diagram itself checks that every key is
+    passed once over and once under.
     """
     index: dict[object, int] = {}
-    first: list[bool | None] = []  # a crossing's first role, None once passed twice
-    gauss = []
-    for key, over in events:
-        k = index.setdefault(key, len(first))
-        if k == len(first):
-            first.append(over)
-        elif first[k] is None or first[k] == over:
-            raise InternalInvariantError(f"crossing {key} needs one over and one under passage")
-        else:
-            first[k] = None
-        gauss.append((k, "O" if over else "U"))
-    for key, role in zip(index, first):
-        if role is not None:
-            raise InternalInvariantError(f"crossing {key} needs one over and one under passage")
-    return PlanarDiagram(tuple(gauss), tuple([signs[key] for key in index]))
+    gauss = tuple([(index.setdefault(key, len(index)), over) for key, over in events])
+    return PlanarDiagram(gauss, tuple([signs[key] for key in index]))
 
 
 def segment_crossings(
@@ -391,15 +365,14 @@ def faces(d: PlanarDiagram) -> list[list[tuple[int, int]]]:
     if n == 0:
         return []
     at_label: dict[int, list[tuple[int, int]]] = {}
-    for ci, c in enumerate(d.crossings):
-        for slot, e in enumerate(c.pd):
+    for ci, labels in enumerate(d.pd):
+        for slot, e in enumerate(labels):
             at_label.setdefault(e, []).append((ci, slot))
+    # a consistent diagram has each edge label at exactly two darts
     alpha: dict[tuple[int, int], tuple[int, int]] = {}
-    for e, darts in at_label.items():
-        if len(darts) != 2:
-            raise InternalInvariantError(f"edge {e} has {len(darts)} ends")
-        alpha[darts[0]] = darts[1]
-        alpha[darts[1]] = darts[0]
+    for first, second in at_label.values():
+        alpha[first] = second
+        alpha[second] = first
 
     def nxt(dart):
         ci, slot = alpha[dart]
@@ -444,7 +417,7 @@ def simplify_diagram(d: PlanarDiagram) -> PlanarDiagram:
     (Reidemeister II).  The first such pair in passage order goes, and the
     search starts again.  The diagram is assembled once, at the end.
     """
-    events = [(ci, role == "O") for ci, role in d.gauss]
+    events = list(d.gauss)
     while events:
         kinks = {ci for j, (ci, _) in enumerate(events) if events[j - 1][0] == ci}
         if kinks:
@@ -653,9 +626,9 @@ def _wirtinger_minor(d: PlanarDiagram) -> list[dict[int, dict[int, int]]]:
 
     positive = [s > 0 for s in d.signs]
     arc = last
-    for ci, role in d.gauss:
+    for ci, passes_over in d.gauss:
         row = rows[ci]
-        if role == "O":
+        if passes_over:
             up = 1 if positive[ci] else -1  # 1-t, or t-1
             add(row, arc, 0, up)
             add(row, arc, 1, -up)
@@ -707,7 +680,7 @@ def jones_kauffman(D: PlanarDiagram) -> LaurentPolynomial:
     delta_pow = [LaurentPolynomial.one()]
     for _ in range(n + 1):
         delta_pow.append(delta_pow[-1] * delta)
-    pds = [c.pd for c in D.crossings]
+    pds = D.pd
     bracket = LaurentPolynomial.zero()
     for state in range(1 << n):
         parent = list(range(2 * n + 1))

@@ -21,12 +21,7 @@ class LaurentPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        d = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c:
-                    d[int(e)] = d.get(int(e), 0) + int(c)
-            d = {e: c for e, c in d.items() if c}
+        d = {e: c for e, c in coeffs.items() if c} if coeffs else {}
         object.__setattr__(self, "_coeffs", d)
 
     # -- constructors -------------------------------------------------

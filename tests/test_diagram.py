@@ -1,5 +1,6 @@
 """Grid diagrams, simplification, Alexander, determinant, Kauffman bracket."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import latticeknot as lk
 from latticeknot import LaurentPolynomial as LP
 from latticeknot import dataset, diagram
-from latticeknot.diagram import Crossing, _assemble, _bareiss_det, _wirtinger_minor
+from latticeknot.diagram import _assemble, _bareiss_det, _wirtinger_minor
 
 from conftest import star_in_order, torus_alexander
 
@@ -24,17 +25,16 @@ class TestArcToPlanar:
 
     def test_pentagram_trefoil(self, p5):
         D = lk.arc_to_planar(p5)
-        assert D.check() == []
         assert lk.alexander(D) == TREFOIL
 
     def test_figure8_determinant(self, p6):
         assert lk.determinant(lk.arc_to_planar(p6)) == 5
 
     def test_diagrams_check_clean(self):
+        # construction raises unless each crossing is passed once over and once under
         rng = random.Random(40)
         for _ in range(50):
-            D = lk.arc_to_planar(lk.random_presentation(rng.randint(2, 9), rng))
-            assert D.check() == []
+            lk.arc_to_planar(lk.random_presentation(rng.randint(2, 9), rng))
 
     def test_euler_face_count(self):
         rng = random.Random(41)
@@ -58,7 +58,6 @@ class TestSimplify:
             D = lk.arc_to_planar(lk.random_presentation(rng.randint(5, 9), rng))
             S = lk.simplify_diagram(D)
             assert S.n <= D.n
-            assert S.check() == []
 
     def test_idempotent_on_grid_and_projected_diagrams(self):
         # simplify reassembles crossings from gauss events and stored signs;
@@ -70,7 +69,7 @@ class TestSimplify:
             for D in (lk.arc_to_planar(P), lk.project_polygon(poly)):
                 S = lk.simplify_diagram(D)
                 again = lk.simplify_diagram(S)
-                assert again.crossings == S.crossings
+                assert again.pd == S.pd
                 assert again.gauss == S.gauss
 
     def test_unknot_collapses(self):
@@ -81,8 +80,8 @@ class TestSimplify:
 
 def reference_simplify_diagram(d):
     """Reference: reassemble and walk every face after each kink or bigon."""
-    events = [(ci, role == "O") for ci, role in d.gauss]
-    signs = {ci: c.sign for ci, c in enumerate(d.crossings)}
+    events = list(d.gauss)
+    signs = dict(enumerate(d.signs))
     while events:
         total = len(events)
         kink = next(
@@ -115,8 +114,8 @@ def reference_arc_of_edge(d):
     n = d.n
     label = {}
     cur = 0
-    for j, (_, role) in enumerate(d.gauss, start=1):
-        if role == "U":
+    for j, (_, passes_over) in enumerate(d.gauss, start=1):
+        if not passes_over:
             cur += 1
         label[j] = cur
     for j in label:
@@ -129,15 +128,18 @@ def reference_wirtinger_minor(d):
     """Reference: label every edge with its arc, then fill one row per crossing."""
     n = d.n
     arc = reference_arc_of_edge(d)
+    # passage j leaves on edge j and enters on edge j - 1, edge 2n before passage 1
+    passage = {(ci, over): j for j, (ci, over) in enumerate(d.gauss, start=1)}
     one = LP.one()
     t = LP.t_power(1)
     rows = [[LP.zero() for _ in range(n)] for _ in range(n)]
-    for r, c in enumerate(d.crossings):
-        o = arc[c.over_in] - 1
-        assert arc[c.over_out] - 1 == o, "over passage splits a Wirtinger arc"
-        ui = arc[c.under_in] - 1
-        uo = arc[c.under_out] - 1
-        if c.sign > 0:
+    for r, sign in enumerate(d.signs):
+        jo, ju = passage[r, True], passage[r, False]
+        o = arc[jo - 1 or 2 * n] - 1
+        assert arc[jo] - 1 == o, "over passage splits a Wirtinger arc"
+        ui = arc[ju - 1 or 2 * n] - 1
+        uo = arc[ju] - 1
+        if sign > 0:
             rows[r][o] = rows[r][o] + (one - t)
             rows[r][ui] = rows[r][ui] + t
             rows[r][uo] = rows[r][uo] - one
@@ -164,7 +166,6 @@ class TestGaussWordStages:
     def test_simplify_and_minor_match_face_walk_reference(self, a):
         for D in grid_and_output(a, 7000 + a):
             S, R = lk.simplify_diagram(D), reference_simplify_diagram(D)
-            assert S.check() == [] and R.check() == []
             assert S.n == R.n
             assert reference_simplify_diagram(S).n == S.n
             assert lk.simplify_diagram(R).n == R.n
@@ -179,7 +180,6 @@ class TestGaussWordStages:
         # on the n=179 input minor and 17 s on the n=266 output minor
         for D in grid_and_output(a, 7000 + a):
             S = lk.simplify_diagram(D)
-            assert S.check() == []
             assert S.n <= D.n
             assert reference_simplify_diagram(S).n == S.n
 
@@ -190,8 +190,8 @@ def kinked_diagrams(draw):
     spliced into the Gauss word, each as two consecutive passages."""
     P = lk.random_presentation(draw(st.integers(5, 9)), random.Random(draw(st.integers(0, 2**16))))
     D = lk.arc_to_planar(P)
-    events = [(ci, role == "O") for ci, role in D.gauss]
-    signs = {ci: c.sign for ci, c in enumerate(D.crossings)}
+    events = list(D.gauss)
+    signs = dict(enumerate(D.signs))
     for k in range(draw(st.integers(2, 5))):
         over = draw(st.booleans())
         j = draw(st.integers(0, len(events)))
@@ -204,7 +204,7 @@ class TestSparseMinor:
     @settings(max_examples=100, deadline=None)
     @given(kinked_diagrams())
     def test_kinks_emit_only_nonzero_entries(self, D):
-        assert D.check() == [] and D.n >= 2
+        assert D.n >= 2
         rows = _wirtinger_minor(D)
         assert len(rows) == D.n - 1
         for row in rows:
@@ -490,48 +490,72 @@ class TestPDCode:
     def test_mirror_flips_signs(self, p5):
         D = lk.arc_to_planar(p5)
         M = D.mirror()
-        assert [c.sign for c in M.crossings] == [-c.sign for c in D.crossings]
+        assert list(M.signs) == [-s for s in D.signs]
         assert M.mirror() == D
 
 
+# sha256 of the lines the test below joins; it moves when a PD code or Jones bracket does
+DATASET_DIAGRAMS_SHA256 = "eaa7358b1ff272defc0c6c49ea0e51765afcd1b48c72dcfde99ee04cb3bb7cb6"
+
+
+def test_dataset_pd_codes_and_jones_match_pinned_digest():
+    """For each bundled knot, the PD codes of the grid diagram and of the
+    auto-built polygon's projection, each before and after simplification,
+    and the Jones bracket of each simplified diagram with at most 10
+    crossings (20 of them); the bench digests cover neither grid-side PD
+    codes nor Jones."""
+    lines = []
+    jones = 0
+    for name in dataset.names():
+        P = dataset.get(name).arcs
+        poly, _ = lk.construct_auto(P, check_invariant=False)
+        for D in (lk.arc_to_planar(P), lk.project_polygon(poly)):
+            S = lk.simplify_diagram(D)
+            lines += [name, D.pd_code_text(), S.pd_code_text()]
+            if S.n <= 10:
+                jones += 1
+                lines.append(repr(lk.jones_kauffman(S).coeff_list()))
+    assert jones == 20
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DATASET_DIAGRAMS_SHA256
+
+
 def reference_assemble(events, signs):
-    """Reference: one Crossing per key from its sorted passages, as
-    (crossings, gauss); edge j follows event j and edge 2n enters event 1."""
+    """Reference: each key's PD tuple from its sorted passages, as (pd, gauss,
+    signs); edge j follows event j and edge 2n enters event 1."""
     total = len(events)
     passages = {}
     for j, (key, over) in enumerate(events, start=1):
         passages.setdefault(key, []).append((over, j))
-    crossings = []
+    pd = []
     for key, ps in passages.items():
         assert len(ps) == 2 and ps[0][0] != ps[1][0]
         (_, ju), (_, jo) = sorted(ps)
-        crossings.append(
-            Crossing(
-                over_in=jo - 1 if jo > 1 else total,
-                over_out=jo,
-                under_in=ju - 1 if ju > 1 else total,
-                under_out=ju,
-                sign=signs[key],
-            )
-        )
+        over_in = jo - 1 if jo > 1 else total
+        under_in = ju - 1 if ju > 1 else total
+        # counterclockwise from the incoming under strand; the over strand
+        # runs left to right across it at a positive crossing
+        if signs[key] > 0:
+            pd.append((under_in, over_in, ju, jo))
+        else:
+            pd.append((under_in, jo, ju, over_in))
     index_of = {key: k for k, key in enumerate(passages)}
-    gauss = tuple((index_of[key], "O" if over else "U") for key, over in events)
-    return tuple(crossings), gauss
+    gauss = tuple((index_of[key], over) for key, over in events)
+    return tuple(pd), gauss, tuple(signs[key] for key in passages)
 
 
-def reference_mirror(crossings, gauss):
-    flipped = tuple(
-        Crossing(c.under_in, c.under_out, c.over_in, c.over_out, -c.sign) for c in crossings
-    )
-    return flipped, tuple((ci, "U" if role == "O" else "O") for ci, role in gauss)
+def reference_mirror(pd, gauss, signs):
+    """Swapping the strands' roles keeps each crossing's counterclockwise cycle
+    and starts it at the old incoming over strand: slot 1 of a positive
+    crossing, slot 3 of a negative one."""
+    flipped = tuple(p[1:] + p[:1] if s > 0 else p[3:] + p[:3] for p, s in zip(pd, signs))
+    return flipped, tuple((ci, not over) for ci, over in gauss), tuple(-s for s in signs)
 
 
-def assert_matches_reference(d, crossings, gauss):
-    assert d.crossings == crossings
-    assert d.pd_code_text() == "\n".join("X({},{},{},{})".format(*c.pd) for c in crossings)
+def assert_matches_reference(d, pd, gauss, signs):
+    assert d.pd == pd
+    assert d.pd_code_text() == "\n".join("X({},{},{},{})".format(*p) for p in pd)
     assert d.gauss == gauss
-    assert d.signs == tuple(c.sign for c in crossings)
-    assert d.check() == []
+    assert d.signs == signs
 
 
 class TestStoredGaussWord:
@@ -552,9 +576,9 @@ class TestStoredGaussWord:
             lk.simplify_diagram(D)
         assert len(calls) == 4
         for events, signs, d in calls:
-            crossings, gauss = reference_assemble(events, signs)
-            assert_matches_reference(d, crossings, gauss)
-            assert_matches_reference(d.mirror(), *reference_mirror(crossings, gauss))
+            reference = reference_assemble(events, signs)
+            assert_matches_reference(d, *reference)
+            assert_matches_reference(d.mirror(), *reference_mirror(*reference))
             assert d.mirror().mirror() == d
 
     @pytest.mark.parametrize(
@@ -567,18 +591,29 @@ class TestStoredGaussWord:
         ids=["passed three times", "passed over twice", "passed once"],
     )
     def test_assemble_rejects_a_key_not_passed_once_over_and_once_under(self, events):
-        with pytest.raises(lk.InternalInvariantError, match="crossing a needs one over and one under"):
+        match = "each crossing must be passed once over and once under"
+        with pytest.raises(lk.InternalInvariantError, match=match):
             _assemble(events, dict.fromkeys("abc", 1))
 
     def test_check_flags_a_crossing_passed_over_twice(self):
-        d = lk.PlanarDiagram(gauss=((0, "O"), (1, "U"), (0, "O"), (1, "O")), signs=(1, -1))
-        assert d.check() == ["each crossing must be passed once over and once under"]
+        with pytest.raises(lk.InternalInvariantError, match="passed once over and once under"):
+            lk.PlanarDiagram(((0, True), (1, False), (0, True), (1, True)), (1, -1))
+
+    @pytest.mark.parametrize(
+        "gauss",
+        [((0, True), (0, False), (1, True)), ((0, True), (-1, False))],
+        ids=["index past n", "negative index"],
+    )
+    def test_construction_rejects_a_crossing_index_out_of_range(self, gauss):
+        # _assemble numbers crossings from 0, so only a direct construction makes these
+        with pytest.raises(lk.InternalInvariantError, match="passed once over and once under"):
+            lk.PlanarDiagram(gauss, (1,))
 
     def test_certify_path_builds_no_crossing(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Crossing was built on the certify path")
+        def refuse(self):
+            raise AssertionError("a PD code was derived on the certify path")
 
-        monkeypatch.setattr(diagram, "Crossing", refuse)
+        monkeypatch.setattr(diagram.PlanarDiagram, "pd", property(refuse))
         items = [dataset.get(name).arcs for name in dataset.names()]
         items += [
             lk.random_presentation(a, random.Random(1000 * a + s)) for a in range(12, 21) for s in (0, 1)
