@@ -2,15 +2,14 @@
 
 An arc presentation pairs up binding indices 1..a, one pair per page.  The
 pairing must form a single closed cycle through all binding indices.  The
-page number of a pair is its 1-based position in the list.
+page number of a pair is its 1-based position in the list.  An
+ArcPresentation checks this when it is made, so nothing downstream does.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import InternalInvariantError
 
@@ -43,10 +42,61 @@ class ArcPresentation:
     """Pages 1..a, each holding one unordered pair of binding indices.
 
     arcs[p-1] is the pair at page p, stored smaller index first.
-    Construct through validate(); direct construction skips checking.
+    Construction checks every invariant and raises PresentationError, so
+    every presentation that exists is valid.
     """
 
     arcs: tuple[tuple[int, int], ...]
+    # binding b's two pages, ascending, at 2b-2 and 2b-1
+    _pages: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        """Report every violated invariant at once; sort each pair if valid.
+
+        Out-of-range and degenerate pairs are reported page by page, in the
+        order given, then bindings not used twice, ascending.  Only a
+        pairing without those is walked, from binding 1 until it closes.
+        """
+        arcs, a = self.arcs, len(self.arcs)
+        if a < 2:
+            raise PresentationError([("binding_degree", f"need at least 2 arcs, got {a}")])
+        violations: list[tuple[str, str]] = []
+        pages = [0] * (2 * a)
+        degree = [0] * (a + 1)
+        for p, (i, j) in enumerate(arcs, start=1):
+            for idx in (i, j):
+                if not 1 <= idx <= a:
+                    violations.append(("index_out_of_range", f"page {p}: index {idx} outside 1..{a}"))
+                    continue
+                if degree[idx] < 2:
+                    pages[2 * idx - 2 + degree[idx]] = p
+                degree[idx] += 1
+            if i == j:
+                violations.append(("degenerate_arc", f"page {p}: arc {i},{j} has equal ends"))
+        for b in range(1, a + 1):
+            if degree[b] != 2:
+                violations.append(("binding_degree", f"index {b} used {degree[b]} times, expected 2"))
+
+        if not violations:
+            b, page, walked = 1, pages[0], 1
+            while True:
+                i, j = arcs[page - 1]
+                b = j if b == i else i
+                if b == 1:
+                    break
+                k1, k2 = pages[2 * b - 2], pages[2 * b - 1]
+                page = k2 if page == k1 else k1
+                walked += 1
+            if walked != a:
+                violations.append(
+                    ("disconnected", f"pairing splits into cycles; walk covered {walked} of {a} arcs")
+                )
+        if violations:
+            raise PresentationError(violations)
+        if any(i > j for i, j in arcs):
+            # a tuple from a list, not a generator; see lattice._polygon
+            object.__setattr__(self, "arcs", tuple([(min(p), max(p)) for p in arcs]))
+        object.__setattr__(self, "_pages", tuple(pages))
 
     @property
     def a(self) -> int:
@@ -60,27 +110,11 @@ class ArcPresentation:
                 return p
         raise KeyError(f"no arc {want} in presentation")
 
-    @cached_property
-    def _incidence(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Every (binding index, page) incidence in order, as two flat tuples.
-
-        Built once per presentation, so a walk over all bindings costs
-        O(a log a), not O(a**2).  Flat tuples of small ints keep a
-        long-lived presentation small: about 2 KB at a = 64, where a dict
-        of per-binding lists took about 13 KB.
-        """
-        pairs = sorted({(b, p) for p, arc in enumerate(self.arcs, start=1) for b in arc})
-        return tuple([b for b, _ in pairs]), tuple([p for _, p in pairs])
-
     def pages_at(self, binding: int) -> tuple[int, int]:
         """The two page numbers incident to a binding index, sorted."""
-        bindings, pages = self._incidence
-        found = pages[bisect_left(bindings, binding):bisect_right(bindings, binding)]
-        if len(found) != 2:
-            raise InternalInvariantError(
-                f"binding index {binding} is incident to {len(found)} pages"
-            )
-        return (found[0], found[1])
+        if not 1 <= binding <= self.a:
+            raise InternalInvariantError(f"binding index {binding} outside 1..{self.a}")
+        return (self._pages[2 * binding - 2], self._pages[2 * binding - 1])
 
     def far_ends(self, binding: int) -> tuple[int, int]:
         """Far endpoints of the two arcs meeting a binding index, page order."""
@@ -92,12 +126,12 @@ class ArcPresentation:
 
 
 def validate(raw_pairs) -> ArcPresentation:
-    """Check all presentation invariants; report every violation at once.
+    """The presentation of raw pairs; PresentationError lists every violation.
 
     raw_pairs must be a list or tuple of 2-element lists or tuples of ints;
     nothing is coerced, so floats, bools and strings are rejected.
+    ArcPresentation checks the invariants and stores each pair sorted.
     """
-    violations: list[tuple[str, str]] = []
     if not isinstance(raw_pairs, (list, tuple)) or not all(
         isinstance(p, (list, tuple)) and len(p) == 2 and all(type(i) is int for i in p)
         for p in raw_pairs
@@ -105,57 +139,7 @@ def validate(raw_pairs) -> ArcPresentation:
         raise PresentationError(
             [("index_out_of_range", "input is not a list of integer index pairs")]
         )
-    pairs = [(p[0], p[1]) for p in raw_pairs]
-    a = len(pairs)
-    if a < 2:
-        raise PresentationError(
-            [("binding_degree", f"need at least 2 arcs, got {a}")]
-        )
-
-    for p, (i, j) in enumerate(pairs, start=1):
-        for idx in (i, j):
-            if not 1 <= idx <= a:
-                violations.append(
-                    ("index_out_of_range", f"page {p}: index {idx} outside 1..{a}")
-                )
-        if i == j:
-            violations.append(("degenerate_arc", f"page {p}: arc {i},{j} has equal ends"))
-
-    degree = {i: 0 for i in range(1, a + 1)}
-    for (i, j) in pairs:
-        for idx in (i, j):
-            if idx in degree:
-                degree[idx] += 1
-    bad_degree = {i: d for i, d in degree.items() if d != 2}
-    for i, d in sorted(bad_degree.items()):
-        violations.append(("binding_degree", f"index {i} used {d} times, expected 2"))
-
-    if not violations:
-        # Walk the 2-regular multigraph; a single cycle must cover all indices.
-        incident: dict[int, list[int]] = {i: [] for i in range(1, a + 1)}
-        for p, (i, j) in enumerate(pairs):
-            incident[i].append(p)
-            incident[j].append(p)
-        seen_edges = set()
-        vertex = 1
-        edge = incident[1][0]
-        for _ in range(a):
-            seen_edges.add(edge)
-            i, j = pairs[edge]
-            vertex = j if vertex == i else i
-            nxt = [e for e in incident[vertex] if e not in seen_edges]
-            if not nxt:
-                break
-            edge = nxt[0]
-        if len(seen_edges) != a:
-            violations.append(
-                ("disconnected", f"pairing splits into cycles; walk covered {len(seen_edges)} of {a} arcs")
-            )
-
-    if violations:
-        raise PresentationError(violations)
-    # a tuple from a list, not a generator; see lattice._polygon
-    return ArcPresentation(tuple([(min(i, j), max(i, j)) for i, j in pairs]))
+    return ArcPresentation(tuple([(p[0], p[1]) for p in raw_pairs]))
 
 
 def rotate_pages(P: ArcPresentation, m: int) -> ArcPresentation:
@@ -183,9 +167,8 @@ def dual(P: ArcPresentation) -> ArcPresentation:
     The arc at page m of the dual joins the two page numbers incident to
     binding index m in P.  An involution representing the same knot.
     """
-    pairs = [P.pages_at(m) for m in range(1, P.a + 1)]
     try:
-        return validate(pairs)
+        return ArcPresentation(tuple([P.pages_at(m) for m in range(1, P.a + 1)]))
     except PresentationError as exc:
         raise InternalInvariantError(f"dual of a valid presentation failed: {exc}") from exc
 
@@ -238,7 +221,8 @@ class NormalizedNonStar:
     """Witness configuration after both rotations.
 
     The arc (alpha, beta) sits at page 1, the arc (beta, a) at page
-    lift_page >= 2, and 1 < alpha < beta < a.
+    lift_page >= 2, and 1 < alpha < beta < a.  Construction checks this
+    and raises InternalInvariantError, since only a bug can break it.
     """
 
     presentation: ArcPresentation
@@ -246,13 +230,30 @@ class NormalizedNonStar:
     beta: int
     lift_page: int
 
+    def __post_init__(self):
+        arcs, a = self.presentation.arcs, self.presentation.a
+        alpha, beta, k = self.alpha, self.beta, self.lift_page
+        if not (
+            1 < alpha < beta < a
+            and arcs[0] == (alpha, beta)
+            and 2 <= k <= a
+            and arcs[k - 1] == (beta, a)
+        ):
+            raise InternalInvariantError(
+                f"witness configuration alpha={alpha}, beta={beta}, lift_page={k} "
+                f"does not hold in {arcs}"
+            )
+
 
 def normalize_for_nonstar(P: ArcPresentation, w: NonStarWitness) -> NormalizedNonStar:
     """Rotate bindings so the witness becomes (alpha, beta, a), then pages.
 
     Rotating by a - gamma' sends gamma' to a, alpha' to alpha' + a - gamma'
     and beta' to beta' + a - gamma' (mod*).  Exactly one labeling of the two
-    far ends yields 1 < alpha < beta < a; it is the one taken.
+    far ends yields 1 < alpha < beta < a; it is the one taken.  Both page
+    numbers are read off P: rotating pages by 1 - first, first the page of
+    (alpha', beta'), brings that arc to page 1 and (beta', gamma') to
+    lift_page.
     """
     a = P.a
     for alpha_raw, gamma_raw in (
@@ -268,14 +269,12 @@ def normalize_for_nonstar(P: ArcPresentation, w: NonStarWitness) -> NormalizedNo
         raise InternalInvariantError(
             f"no far-end labeling of witness {w} normalizes to 1 < alpha < beta < a"
         )
-    rotated = rotate_bindings(P, shift)
-    page_ab = rotated.page_of((alpha, beta))
-    rotated = rotate_pages(rotated, 1 - page_ab)
-    lift_page = rotated.page_of((beta, a))
-    if rotated.page_of((alpha, beta)) != 1 or lift_page < 2:
-        raise InternalInvariantError("normalization postcondition failed")
+    first = P.page_of((alpha_raw, w.beta_raw))
     return NormalizedNonStar(
-        presentation=rotated, alpha=alpha, beta=beta, lift_page=lift_page
+        presentation=rotate_pages(rotate_bindings(P, shift), 1 - first),
+        alpha=alpha,
+        beta=beta,
+        lift_page=mod_star(P.page_of((w.beta_raw, gamma_raw)) + 1 - first, a),
     )
 
 
@@ -305,13 +304,12 @@ def torus_order_check(P: ArcPresentation) -> TorusClassification | None:
     a = P.a
     n = (a - 1) // 2
     page_by_pair = {pair: p for p, pair in enumerate(P.arcs, start=1)}
+    # at odd a exactly a pairs have difference n or n+1, and a valid
+    # presentation holds a distinct pairs, so every chord is present
     pages = []
     for i in range(1, a + 1):
         j = mod_star(i + n, a)
-        pair = (min(i, j), max(i, j))
-        if pair not in page_by_pair:
-            raise InternalInvariantError(f"star presentation lacks chord {pair}")
-        pages.append(page_by_pair[pair])
+        pages.append(page_by_pair[(min(i, j), max(i, j))])
     for m in range(a):
         if all(pages[i - 1] == mod_star(i + m, a) for i in range(1, a + 1)):
             return TorusClassification(n=n, direction="in-order", rotation_offset=m)

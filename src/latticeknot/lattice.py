@@ -271,15 +271,13 @@ def _end_moves(P: ArcPresentation) -> dict[Point, Point]:
     Both arcs at binding 1 leave along x at y=1.  Its diagonal corners
     (1, 1, k) slide to x = i_short, the nearer far end, so the shorter
     x-stick vanishes and the z-stick moves off the diagonal.  Binding a
-    mirrors this along y at x=a: (a, a, l) slides to y = j_short.
+    mirrors this along y at x=a: (a, a, l) slides to y = j_short.  The two
+    far ends differ: a doubled pair is a 2-cycle, which a valid presentation
+    with a >= 3 cannot hold.
     """
     a = P.a
     i1, i2 = P.far_ends(1)
-    if i1 == i2:
-        raise InternalInvariantError("both arcs at binding 1 have the same far end")
     j1, j2 = P.far_ends(a)
-    if j1 == j2:
-        raise InternalInvariantError("both arcs at binding a have the same far end")
     i_short, j_short = min(i1, i2), max(j1, j2)  # larger lower endpoint = shorter stick
     moves = {(1, 1, k): (i_short, 1, k) for k in P.pages_at(1)}
     moves.update({(a, a, l): (a, j_short, l) for l in P.pages_at(a)})
@@ -312,18 +310,9 @@ def _nonstar_cycle(nns: NormalizedNonStar, level: int) -> list[Point]:
     corners (alpha, alpha, 1), (alpha, beta, 1) and (beta, beta, 1) up to
     z = level; at level == lift_page the corner (beta, beta, lift_page)
     repeats and the flipped x-stick runs straight into the lift_page arc's.
+    NormalizedNonStar checked that configuration when it was made.
     """
-    P = nns.presentation
-    a = P.a
-    alpha, beta, k = nns.alpha, nns.beta, nns.lift_page
-    if not (1 < alpha < beta < a):
-        raise InternalInvariantError("normalized witness out of range")
-
-    if not 1 < k <= a or P.arcs[k - 1] != (beta, a):
-        raise InternalInvariantError(f"arc ({beta},{a}) is not at lift_page {k}")
-    if k in P.pages_at(alpha):
-        raise InternalInvariantError("both witness attachment pages coincide")
-
+    P, alpha, beta = nns.presentation, nns.alpha, nns.beta
     moves = _end_moves(P)
     for x, y in ((alpha, alpha), (alpha, beta), (beta, beta)):
         moves[(x, y, 1)] = (x, y, level)

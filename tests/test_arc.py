@@ -2,8 +2,10 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latticeknot as lk
 from latticeknot import PresentationError
@@ -57,7 +59,92 @@ def cycle_cover_oracle(pairs):
     return len(seen) == a
 
 
+def reference_validate(pairs):
+    """Every violation of a list of integer pairs, by the earlier algorithm.
+
+    Index checks page by page, then degrees, then a walk that marks each
+    arc seen and takes any unseen arc at each binding.
+    """
+    a = len(pairs)
+    if a < 2:
+        return [("binding_degree", f"need at least 2 arcs, got {a}")]
+    violations = []
+    for p, (i, j) in enumerate(pairs, start=1):
+        for idx in (i, j):
+            if not 1 <= idx <= a:
+                violations.append(("index_out_of_range", f"page {p}: index {idx} outside 1..{a}"))
+        if i == j:
+            violations.append(("degenerate_arc", f"page {p}: arc {i},{j} has equal ends"))
+    degree = {i: 0 for i in range(1, a + 1)}
+    for pair in pairs:
+        for idx in pair:
+            if idx in degree:
+                degree[idx] += 1
+    for i, d in sorted(degree.items()):
+        if d != 2:
+            violations.append(("binding_degree", f"index {i} used {d} times, expected 2"))
+    if not violations:
+        incident = {i: [] for i in range(1, a + 1)}
+        for e, (i, j) in enumerate(pairs):
+            incident[i].append(e)
+            incident[j].append(e)
+        seen, vertex, edge = set(), 1, incident[1][0]
+        for _ in range(a):
+            seen.add(edge)
+            i, j = pairs[edge]
+            vertex = j if vertex == i else i
+            rest = [e for e in incident[vertex] if e not in seen]
+            if not rest:
+                break
+            edge = rest[0]
+        if len(seen) != a:
+            violations.append(
+                ("disconnected", f"pairing splits into cycles; walk covered {len(seen)} of {a} arcs")
+            )
+    return violations
+
+
+@st.composite
+def raw_pairings(draw):
+    """Pairs on a in 0..9 arcs: arbitrary indices in -1..a+1, or a cover of
+    1..a by cycles (a 2-cycle is a doubled pair), possibly with one index
+    changed; pages shuffled and each pair in either order."""
+    a = draw(st.integers(0, 9))
+    index = st.integers(-1, a + 1)
+    if a < 2 or draw(st.booleans()):
+        return draw(st.lists(st.lists(index, min_size=2, max_size=2), min_size=a, max_size=a))
+    order = draw(st.permutations(range(1, a + 1)))
+    pairs, start = [], 0
+    while start < a:
+        size = draw(st.integers(2, a - start))
+        if a - start - size == 1:  # a single binding cannot close a cycle
+            size += 1
+        block = order[start:start + size]
+        pairs += [[block[k], block[(k + 1) % size]] for k in range(size)]
+        start += size
+    pairs = [pair if draw(st.booleans()) else pair[::-1] for pair in draw(st.permutations(pairs))]
+    if draw(st.booleans()):
+        pairs[draw(st.integers(0, a - 1))][draw(st.integers(0, 1))] = draw(index)
+    return pairs
+
+
 class TestValidate:
+    @settings(max_examples=300, deadline=None)
+    @given(raw_pairings())
+    def test_violations_match_reference_and_incidence_matches_brute_force(self, raw):
+        expected = reference_validate(raw)
+        try:
+            P = lk.validate(raw)
+        except PresentationError as err:
+            assert err.violations == expected
+            return
+        assert expected == []
+        assert P.arcs == tuple((min(i, j), max(i, j)) for i, j in raw)
+        for b in range(1, P.a + 1):
+            at = [(p, j if i == b else i) for p, (i, j) in enumerate(P.arcs, start=1) if b in (i, j)]
+            assert P.pages_at(b) == (at[0][0], at[1][0])
+            assert P.far_ends(b) == (at[0][1], at[1][1])
+
     def test_unsorted_input_cycle(self):
         P = lk.validate([[1, 4], [2, 5], [3, 1], [4, 2], [5, 3]])
         assert P.a == 5
@@ -179,16 +266,29 @@ class TestIncidence:
                 assert P.pages_at(b) == (at[0][0], at[1][0])
                 assert P.far_ends(b) == (at[0][1], at[1][1])
 
-    @pytest.mark.parametrize("binding", [1, 2, 5])
+    @pytest.mark.parametrize("binding", [1, 2])
     def test_binding_on_other_than_two_pages_raises(self, binding):
-        # built directly, skipping validate: binding 1 is on pages 1..3,
-        # binding 2 on page 1 alone and binding 5 on none
-        P = lk.ArcPresentation(((1, 2), (1, 3), (1, 4), (3, 4)))
+        # binding 1 is on pages 1..3 and binding 2 on page 1 alone; each is
+        # reported, in binding order
+        used = {1: 3, 2: 1}
+        with pytest.raises(PresentationError) as err:
+            lk.ArcPresentation(((1, 2), (1, 3), (1, 4), (3, 4)))
+        assert err.value.violations == [
+            ("binding_degree", f"index {b} used {n} times, expected 2") for b, n in used.items()
+        ]
+        assert ("binding_degree", f"index {binding} used {used[binding]} times, expected 2") in (
+            err.value.violations
+        )
+
+    @pytest.mark.parametrize("binding", [0, 5])
+    def test_binding_outside_1_to_a_raises(self, binding):
+        # 0 would wrap to the last binding's pages without the range check
+        P = lk.validate([[1, 2], [1, 3], [2, 4], [3, 4]])
         with pytest.raises(InternalInvariantError, match=f"binding index {binding} "):
             P.pages_at(binding)
         with pytest.raises(InternalInvariantError, match=f"binding index {binding} "):
             P.far_ends(binding)
-        assert P.pages_at(3) == (2, 4) and P.far_ends(4) == (1, 3)
+        assert P.pages_at(3) == (2, 4) and P.far_ends(4) == (2, 3)
 
 
 class TestStarShape:
@@ -202,10 +302,9 @@ class TestStarShape:
             assert not lk.is_star_shaped(P)
 
     def test_one_bad_pair_breaks_star(self):
-        # pentagram with {1,3} replaced by a difference-1 pair
-        assert not lk.is_star_shaped(
-            lk.ArcPresentation(((1, 4), (2, 5), (1, 2), (2, 4), (3, 5)))
-        )
+        # odd a, so only the pairs decide; {1, 2} and {4, 5} differ by 1.  No
+        # valid presentation differs from a star one in a single pair.
+        assert not lk.is_star_shaped(lk.validate([[1, 2], [2, 4], [1, 3], [3, 5], [4, 5]]))
 
 
 def witness_scan_oracle(P):
@@ -290,6 +389,52 @@ class TestNormalize:
             assert Q.page_of((nns.alpha, nns.beta)) == 1
             assert Q.page_of((nns.beta, a)) == nns.lift_page
             assert nns.lift_page >= 2
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            "alpha and beta swapped",
+            "alpha 1",
+            "beta a",
+            "arcs[0] not (alpha, beta)",
+            "lift_page 0",
+            "lift_page 1",
+            "lift_page past a",
+            "arcs[lift_page-1] not (beta, a)",
+        ],
+    )
+    def test_construction_rejects_a_broken_field(self, broken):
+        rng = random.Random(56)
+        seen = 0
+        while seen < 20:
+            P = lk.random_presentation(rng.randint(5, 9), rng)
+            w = lk.find_nonstar_witness(P)
+            if w is None:
+                continue
+            seen += 1
+            nns = lk.normalize_for_nonstar(P, w)
+            Q, alpha, beta, k, a = nns.presentation, nns.alpha, nns.beta, nns.lift_page, P.a
+            assert replace(nns) == nns
+            other = next(p for p in range(2, a + 1) if p != k)
+            swapped = list(Q.arcs)
+            swapped[0], swapped[other - 1] = swapped[other - 1], swapped[0]
+            change = {
+                "alpha and beta swapped": {"alpha": beta, "beta": alpha},
+                "alpha 1": {"alpha": 1},
+                "beta a": {"beta": a},
+                "arcs[0] not (alpha, beta)": {"presentation": lk.ArcPresentation(tuple(swapped))},
+                "lift_page 0": {"lift_page": 0},
+                "lift_page 1": {"lift_page": 1},
+                "lift_page past a": {"lift_page": a + 1},
+                "arcs[lift_page-1] not (beta, a)": {"lift_page": other},
+            }[broken]
+            with pytest.raises(InternalInvariantError, match="witness configuration"):
+                replace(nns, **change)
+
+    def test_construction_rejects_alpha_1_with_both_arcs_in_place(self):
+        P = lk.validate([[1, 3], [3, 5], [2, 5], [2, 4], [1, 4]])
+        with pytest.raises(InternalInvariantError, match="witness configuration"):
+            lk.NormalizedNonStar(P, alpha=1, beta=3, lift_page=2)
 
     def test_rotation_relabel_preserves_alexander(self, p6):
         w = lk.find_nonstar_witness(p6)
