@@ -20,8 +20,7 @@ from .arc import (
     normalize_for_nonstar,
     random_presentation,
     random_star_presentation,
-    rotate_bindings,
-    rotate_pages,
+    rotate,
     torus_order_check,
     validate,
 )
@@ -99,8 +98,7 @@ __all__ = [
     "random_presentation",
     "random_star_presentation",
     "reduce_ends",
-    "rotate_bindings",
-    "rotate_pages",
+    "rotate",
     "simplify_diagram",
     "stick_count",
     "torus_order_check",

@@ -102,14 +102,6 @@ class ArcPresentation:
     def a(self) -> int:
         return len(self.arcs)
 
-    def page_of(self, pair: tuple[int, int]) -> int:
-        """Page number of a given (sorted) pair; raises KeyError if absent."""
-        want = (min(pair), max(pair))
-        for p, arc in enumerate(self.arcs, start=1):
-            if arc == want:
-                return p
-        raise KeyError(f"no arc {want} in presentation")
-
     def pages_at(self, binding: int) -> tuple[int, int]:
         """The two page numbers incident to a binding index, sorted."""
         if not 1 <= binding <= self.a:
@@ -142,23 +134,19 @@ def validate(raw_pairs) -> ArcPresentation:
     return ArcPresentation(tuple([(p[0], p[1]) for p in raw_pairs]))
 
 
-def rotate_pages(P: ArcPresentation, m: int) -> ArcPresentation:
-    """Send the arc at page p to page mod*(p+m, a); endpoint pairs unchanged."""
+def rotate(P: ArcPresentation, pages: int = 0, bindings: int = 0) -> ArcPresentation:
+    """Both relabellings in one pass, constructing the result once.
+
+    The arc at page p moves to page mod*(p+pages, a), and binding index i
+    becomes mod*(i+bindings, a).  The two commute, so this equals rotating
+    the pages and the bindings one after the other, in either order.
+    """
     a = P.a
     arcs: list[tuple[int, int] | None] = [None] * a
-    for p, pair in enumerate(P.arcs, start=1):
-        arcs[mod_star(p + m, a) - 1] = pair
+    for p, (i, j) in enumerate(P.arcs, start=1):
+        ni, nj = mod_star(i + bindings, a), mod_star(j + bindings, a)
+        arcs[mod_star(p + pages, a) - 1] = (ni, nj) if ni < nj else (nj, ni)
     return ArcPresentation(tuple(arcs))  # type: ignore[arg-type]
-
-
-def rotate_bindings(P: ArcPresentation, m: int) -> ArcPresentation:
-    """Replace every binding index i by mod*(i+m, a); page order unchanged."""
-    a = P.a
-    arcs = []
-    for (i, j) in P.arcs:
-        ni, nj = mod_star(i + m, a), mod_star(j + m, a)
-        arcs.append((min(ni, nj), max(ni, nj)))
-    return ArcPresentation(tuple(arcs))
 
 
 def dual(P: ArcPresentation) -> ArcPresentation:
@@ -218,7 +206,7 @@ def find_nonstar_witness(P: ArcPresentation) -> NonStarWitness | None:
 
 @dataclass(frozen=True)
 class NormalizedNonStar:
-    """Witness configuration after both rotations.
+    """Witness configuration after the relabelling of pages and bindings.
 
     The arc (alpha, beta) sits at page 1, the arc (beta, a) at page
     lift_page >= 2, and 1 < alpha < beta < a.  Construction checks this
@@ -246,14 +234,14 @@ class NormalizedNonStar:
 
 
 def normalize_for_nonstar(P: ArcPresentation, w: NonStarWitness) -> NormalizedNonStar:
-    """Rotate bindings so the witness becomes (alpha, beta, a), then pages.
+    """Relabel so the witness becomes (alpha, beta, a), with (alpha, beta) at page 1.
 
     Rotating by a - gamma' sends gamma' to a, alpha' to alpha' + a - gamma'
     and beta' to beta' + a - gamma' (mod*).  Exactly one labeling of the two
     far ends yields 1 < alpha < beta < a; it is the one taken.  Both page
-    numbers are read off P: rotating pages by 1 - first, first the page of
-    (alpha', beta'), brings that arc to page 1 and (beta', gamma') to
-    lift_page.
+    numbers are the two pages at beta', told apart by their far ends:
+    rotating pages by 1 - first, first the page of (alpha', beta'), brings
+    that arc to page 1 and (beta', gamma') to lift_page.
     """
     a = P.a
     for alpha_raw, gamma_raw in (
@@ -269,12 +257,13 @@ def normalize_for_nonstar(P: ArcPresentation, w: NonStarWitness) -> NormalizedNo
         raise InternalInvariantError(
             f"no far-end labeling of witness {w} normalizes to 1 < alpha < beta < a"
         )
-    first = P.page_of((alpha_raw, w.beta_raw))
+    k1, k2 = P.pages_at(w.beta_raw)
+    first, last = (k1, k2) if P.far_ends(w.beta_raw)[0] == alpha_raw else (k2, k1)
     return NormalizedNonStar(
-        presentation=rotate_pages(rotate_bindings(P, shift), 1 - first),
+        presentation=rotate(P, 1 - first, shift),
         alpha=alpha,
         beta=beta,
-        lift_page=mod_star(P.page_of((w.beta_raw, gamma_raw)) + 1 - first, a),
+        lift_page=mod_star(last + 1 - first, a),
     )
 
 

@@ -19,8 +19,7 @@ from .arc import (
     dual,
     is_star_shaped,
     random_presentation,
-    rotate_bindings,
-    rotate_pages,
+    rotate,
     torus_order_check,
 )
 from .certify import (
@@ -104,11 +103,7 @@ def _cmd_dual(args) -> int:
 def _cmd_rotate(args) -> int:
     if args.pages is None and args.bindings is None:
         raise _UsageError("rotate needs --pages and/or --bindings")
-    P = _load_presentation(args.file)
-    if args.pages is not None:
-        P = rotate_pages(P, args.pages)
-    if args.bindings is not None:
-        P = rotate_bindings(P, args.bindings)
+    P = rotate(_load_presentation(args.file), args.pages or 0, args.bindings or 0)
     _print(P.to_json_obj())
     return EXIT_OK
 

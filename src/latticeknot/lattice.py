@@ -7,7 +7,9 @@ the corners at bindings 1 and a off the diagonal; the flip-and-lift to
 3a-4 puts the page-1 arc above the diagonal and raises its three corners
 to z = lift_page.  One normaliser turns a cycle into sticks in canonical
 order.  A LatticePolygon is validated once, by exact integer interval
-arithmetic, when it is made, and cannot exist invalid.
+arithmetic, when it is made, and cannot exist invalid.  The joints of
+consecutive sticks are found once per polygon: validation counts them
+and vertices() reads the corners off them.
 """
 
 from __future__ import annotations
@@ -86,20 +88,21 @@ class LatticePolygon:
             raise SelfIntersectionError(violations)
 
     @cached_property
-    def _corners(self) -> tuple[Point, ...]:
-        """vertices(), derived once; validation made each shared endpoint unique."""
-        out = []
-        for prev, cur in zip(self.sticks[-1:] + self.sticks[:-1], self.sticks):
-            (corner,) = set(prev.endpoints()) & set(cur.endpoints())
-            out.append(corner)
-        return tuple(out)
+    def _joints(self) -> tuple[tuple[Point, ...], ...]:
+        """For each stick, the endpoints it shares with the stick before it.
+
+        Derived once, for validation's corner check and for vertices().
+        """
+        ends = [set(s.endpoints()) for s in self.sticks]
+        return tuple([tuple(ends[k - 1] & e) for k, e in enumerate(ends)])
 
     def vertices(self) -> list[Point]:
         """Corner points in traversal order; stick k runs vertices[k] -> vertices[k+1].
 
-        A new list on every call, so a caller may change it freely.
+        Vertex k is stick k's one joint with stick k - 1, which validation
+        checked.  A new list on every call, so a caller may change it freely.
         """
-        return list(self._corners)
+        return [corner for (corner,) in self._joints]
 
     def to_json_obj(self) -> dict:
         return {"sticks": [s.to_json_obj() for s in self.sticks]}
@@ -140,8 +143,10 @@ def validate_polygon(poly: LatticePolygon) -> list[Violation]:
 
     LatticePolygon runs it once, at construction, and raises
     SelfIntersectionError on a non-empty list.  Two passes.  Consecutive
-    sticks must lie on different axes and share exactly one endpoint, the
-    corner vertices() reads; for perpendicular sticks that is the same as
+    sticks must lie on different axes and share exactly one endpoint; the
+    polygon's joint list holds the shared endpoints, and for a valid
+    polygon its one entry per stick is the corner vertices() reads.  For
+    perpendicular sticks sharing one endpoint is the same as
     meeting in one point that ends both.  Non-adjacent sticks must share
     no lattice point; only pairs in a common coordinate plane are compared,
     so the cost is quadratic only in the largest number of sticks that
@@ -156,13 +161,14 @@ def validate_polygon(poly: LatticePolygon) -> list[Violation]:
         violations.append(Violation("too_few_sticks", tuple(range(m)), f"{m} sticks cannot close"))
         return violations
 
+    joints = poly._joints
     for k in range(m):
         s, t = sticks[k], sticks[(k + 1) % m]
         if s.axis == t.axis:
             violations.append(
                 Violation("axis_repeat", (k, (k + 1) % m), f"consecutive sticks both on {s.axis}")
             )
-        common = len(set(s.endpoints()) & set(t.endpoints()))
+        common = len(joints[(k + 1) % m])
         if common != 1:
             violations.append(
                 Violation(
@@ -210,8 +216,8 @@ def _polygon(cycle: list[Point]) -> LatticePolygon:
     (axis, c1, c2, lo) and run so that this stick goes from lo to hi.
     """
     pts = [p for k, p in enumerate(cycle) if p != cycle[k - 1]]
-    n = len(pts)
-    pts = [p for k, p in enumerate(pts) if _step(pts[k - 1], p) != _step(p, pts[(k + 1) % n])]
+    steps = [_step(p, q) for p, q in zip(pts, pts[1:] + pts[:1])]
+    pts = [p for k, p in enumerate(pts) if steps[k - 1] != steps[k]]
     if len(pts) < 2:
         raise InternalInvariantError("corner cycle collapses to a point")
 

@@ -116,7 +116,7 @@ def test_criterion_7_algebraic_invariants(random_suite):
             det = abs(lk.LaurentPolynomial.from_coeffs(coeffs).evaluate(-1))
             assert det % 2 == 1
             m = rng.randint(1, P.a)
-            rotated = lk.rotate_bindings(lk.rotate_pages(P, m), P.a - m)
+            rotated = lk.rotate(P, m, P.a - m)
             assert lk.alexander(lk.arc_to_planar(rotated)).coeff_list() == coeffs
 
 

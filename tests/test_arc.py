@@ -199,17 +199,17 @@ class TestValidate:
 
 class TestRotations:
     def test_identity_and_full_turn(self, p5):
-        assert lk.rotate_pages(p5, 0) == p5
-        assert lk.rotate_pages(p5, p5.a) == p5
-        assert lk.rotate_bindings(p5, 0) == p5
+        assert lk.rotate(p5, pages=0) == p5
+        assert lk.rotate(p5, pages=p5.a) == p5
+        assert lk.rotate(p5, bindings=0) == p5
 
     def test_page_rotation_moves_page_1_to_3(self, p5):
-        rotated = lk.rotate_pages(p5, 2)
+        rotated = lk.rotate(p5, pages=2)
         assert rotated.arcs[2] == p5.arcs[0]
 
     def test_binding_rotation_on_pentagram(self, p5):
         # pair {3,5} at page 5 becomes {1,4} after shifting indices by 1
-        rotated = lk.rotate_bindings(p5, 1)
+        rotated = lk.rotate(p5, bindings=1)
         assert rotated.arcs[4] == (1, 4)
 
     def test_rotations_invert(self):
@@ -218,16 +218,26 @@ class TestRotations:
             a = rng.randint(5, 9)
             P = lk.random_presentation(a, rng)
             m = rng.randint(1, a - 1)
-            assert lk.rotate_pages(lk.rotate_pages(P, m), a - m) == P
-            assert lk.rotate_bindings(lk.rotate_bindings(P, m), a - m) == P
+            assert lk.rotate(lk.rotate(P, pages=m), pages=a - m) == P
+            assert lk.rotate(lk.rotate(P, bindings=m), bindings=a - m) == P
 
     def test_rotations_preserve_star_shape(self):
         rng = random.Random(10)
         for _ in range(30):
             P = lk.random_star_presentation(rng.choice([5, 7, 9]), rng)
             m = rng.randint(0, P.a)
-            assert lk.is_star_shaped(lk.rotate_pages(P, m))
-            assert lk.is_star_shaped(lk.rotate_bindings(P, m))
+            assert lk.is_star_shaped(lk.rotate(P, pages=m))
+            assert lk.is_star_shaped(lk.rotate(P, bindings=m))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_pass_is_pages_then_bindings(self, data):
+        a = data.draw(st.integers(2, 20))
+        P = lk.random_presentation(a, data.draw(st.randoms(use_true_random=False)))
+        m = data.draw(st.integers(-3 * a, 3 * a))
+        k = data.draw(st.integers(-3 * a, 3 * a))
+        assert lk.rotate(P, m, k) == lk.rotate(lk.rotate(P, pages=m), bindings=k)
+        assert lk.rotate(P) == P
 
 
 class TestDual:
@@ -386,9 +396,22 @@ class TestNormalize:
             nns = lk.normalize_for_nonstar(P, w)
             Q = nns.presentation
             assert 1 < nns.alpha < nns.beta < a
-            assert Q.page_of((nns.alpha, nns.beta)) == 1
-            assert Q.page_of((nns.beta, a)) == nns.lift_page
+            assert Q.arcs.index((nns.alpha, nns.beta)) + 1 == 1
+            assert Q.arcs.index((nns.beta, a)) + 1 == nns.lift_page
             assert nns.lift_page >= 2
+            # the two-step relabelling, pages found by search
+            for alpha_raw, gamma_raw in ((w.alpha_raw, w.gamma_raw), (w.gamma_raw, w.alpha_raw)):
+                shift = a - gamma_raw
+                if 1 < lk.mod_star(alpha_raw + shift, a) < lk.mod_star(w.beta_raw + shift, a) < a:
+                    break
+            assert (nns.alpha, nns.beta) == (
+                lk.mod_star(alpha_raw + shift, a),
+                lk.mod_star(w.beta_raw + shift, a),
+            )
+            first = P.arcs.index(tuple(sorted((alpha_raw, w.beta_raw)))) + 1
+            lift = P.arcs.index(tuple(sorted((w.beta_raw, gamma_raw)))) + 1
+            assert Q == lk.rotate(lk.rotate(P, bindings=shift), pages=1 - first)
+            assert nns.lift_page == lk.mod_star(lift + 1 - first, a)
 
     @pytest.mark.parametrize(
         "broken",

@@ -71,6 +71,9 @@ class TestBasicCommands:
         assert arcs[2] == [1, 4]  # page 1 moved to page 3
         code, out, _ = run(["rotate", "--bindings", "1", files["3_1"]])
         assert json.loads(out)["arcs"][4] == [1, 4]
+        # both settings at once: pages first, then bindings, as one relabelling
+        code, out, _ = run(["rotate", "--pages", "2", "--bindings", "3", files["4_1"]])
+        assert (code, out) == (0, '{"arcs":[[1,4],[3,5],[4,6],[2,5],[1,3],[2,6]]}\n')
 
     def test_star(self, files):
         code, out, _ = run(["star", files["3_1"]])

@@ -157,7 +157,7 @@ class TestReduceEnds:
             if (1, a) not in P.arcs:
                 continue
             checked += 1
-            page = P.page_of((1, a))
+            page = P.arcs.index((1, a)) + 1
             poly = lk.reduce_ends(P)
             assert lk.validate_polygon(poly) == []
             xs = [s for s in poly.sticks if s.axis == "x" and s.c2 == page and s.c1 == 1]
@@ -535,11 +535,25 @@ def random_closed_walk(rng, box=3, axes=3, steps=10):
     return tuple(sticks)
 
 
+def reference_vertices(sticks):
+    """Each stick's one endpoint shared with the stick before it, pair by pair."""
+    out = []
+    for prev, cur in zip(sticks[-1:] + sticks[:-1], sticks):
+        (corner,) = set(prev.endpoints()) & set(cur.endpoints())
+        out.append(corner)
+    return out
+
+
 def assert_validates_like_reference(sticks):
     new, old = _violations(sticks), reference_validate_polygon(sticks)
     assert (new == []) == (old == [])
     if not new:
-        assert len(LatticePolygon(sticks).vertices()) == len(sticks)
+        poly = LatticePolygon(sticks)
+        got = poly.vertices()
+        assert got == reference_vertices(sticks)
+        got.reverse()
+        got.append((-1, -1, -1))
+        assert poly.vertices() == reference_vertices(sticks)
     assert [v for v in new if v.kind == "overlap"] == [v for v in old if v.kind == "overlap"]
     repeats = {v.sticks for v in new if v.kind == "axis_repeat"}
     assert repeats == {v.sticks for v in old if v.kind == "axis_repeat"}
