@@ -3,25 +3,25 @@
 Diagrams come from two sources: the grid picture of an arc presentation
 (vertical strands over horizontal, the standard grid convention) and exact
 generic projections of 3-D lattice polygons.  Invariants: Alexander
-polynomial of a Wirtinger minor, the knot determinant, and an optional
+polynomial of an overpass minor, the knot determinant, and an optional
 Kauffman-bracket Jones polynomial.  A PlanarDiagram stores only its
 Gauss word (the passages in traversal order) and its crossing signs;
 passage j leaves on edge j, and edge 2n enters passage 1.
-Simplification and the Wirtinger minor read only these.  Each passage is
+Simplification and the overpass minor read only these.  Each passage is
 a pair (crossing, passes_over), and construction checks that every
 crossing is passed once over and once under.  The PD code, one tuple of
 four edge labels per crossing, is derived on demand for pd_code_text(),
-faces() and the Kauffman bracket, off the certify path.  The Wirtinger
-minor is written straight from the Gauss word as sparse integer rows
-{column: {exponent: coeff}}, at most 3 nonzeros a row, and the Alexander
-determinant is one sparse fraction-free Bareiss elimination over Z after
-Kronecker substitution: the entries are packed into integers at
-t = 2**bits, where bits comes from a Hadamard bound on the coefficients
-of every minor, and the polynomial is read back from the balanced
-base-2**bits digits.  Pivots follow Markowitz's rule and a step rewrites
-only the rows with a nonzero in the pivot column; the others are
-rescaled lazily, when they are next touched.  A LaurentPolynomial is
-built only for the result.
+faces() and the Kauffman bracket, off the certify path.  The overpass
+minor, one row per under-run of the Gauss word but one, is written
+straight from the word as sparse integer rows {column: {exponent:
+coeff}}, and the Alexander determinant is one sparse fraction-free
+Bareiss elimination over Z after Kronecker substitution: the entries
+are packed into integers at t = 2**bits, where bits comes from a
+Hadamard bound on the coefficients of every minor, and the polynomial
+is read back from the balanced base-2**bits digits.  Pivots follow
+Markowitz's rule and a step rewrites only the rows with a nonzero in
+the pivot column; the others are rescaled lazily, when they are next
+touched.  A LaurentPolynomial is built only for the result.
 """
 
 from __future__ import annotations
@@ -594,67 +594,76 @@ def _is_odd(perm: list[int]) -> bool:
     return (len(perm) - cycles) % 2 == 1
 
 
-def _wirtinger_minor(d: PlanarDiagram) -> list[dict[int, dict[int, int]]]:
-    """Wirtinger matrix of a diagram with n >= 2 crossings, last row and column
-    dropped, as n-1 sparse rows {column: {exponent: coeff}} for _bareiss_det.
+def _overpass_minor(d: PlanarDiagram) -> list[dict[int, dict[int, int]]]:
+    """Alexander matrix of the over presentation of a diagram's knot group,
+    last row and column dropped, as sparse rows {column: {exponent: coeff}}
+    for _bareiss_det (Crowell-Fox, Introduction to Knot Theory, ch. VI).
 
-    One walk over the Gauss word.  Arcs break at under passages: arc k
-    (0-based) starts after the (k+1)-th one, so the edges before the first
-    under passage close up with the last arc and the counter starts at n-1.
-    Row r is crossing r's relation.  A positive crossing puts 1-t on the
-    over arc, t on the incoming under arc and -1 on the outgoing one;
-    negative rows use the inverse relation (scaled by t to stay integral).
-    A kink puts its over arc on one of its under arcs; the term that
-    cancels there is dropped, so every emitted entry is nonzero with only
-    nonzero coefficients.
+    The word is rotated to start at an over passage after an under one.
+    Its maximal cyclic over-runs are numbered 0..b-1, generator x_r is the
+    Wirtinger arc holding over-run r, and the under-run after it passes
+    under c_1..c_L, with signs e_i, to reach x_{r+1}.  A Wirtinger relation
+    x_out = t**e x_in + (1 - t**e) x_over per crossing gives, along the run,
+    x_{r+1} = t**E x_r + sum_i t**E_i (1 - t**e_i) x_over(c_i), with E the sum
+    of the e_i and E_i that of the e_j with j > i.  Row r is this relation.
+
+    An arc strictly inside an under-run holds no over passage, so it sits
+    only in the Wirtinger rows of the two crossings it joins, with
+    coefficients +-t**k.  Eliminating those arcs along each run is a Schur
+    complement over a bidiagonal block with units +-t**k on its diagonal,
+    so this minor is the Wirtinger minor times +-t**k, which canonicalize
+    removes.  Each row sums to zero (the sum over i telescopes to
+    1 - t**E), so the dropped column loses nothing.  An over-run passed
+    twice by one under-run can cancel: only nonzero coefficients and
+    non-empty entries are emitted.  With b <= 1 there are no rows.
     """
-    n = d.n
-    last = n - 1
-    rows: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
-
-    def add(row: dict[int, dict[int, int]], j: int, e: int, c: int) -> None:
-        entry = row.setdefault(j, {})
-        c += entry.get(e, 0)
-        if c:
-            entry[e] = c
-        else:
-            # a kink's t or 1 term; the entry keeps its other term, since
-            # a crossing's over, in and out arcs coincide only when n = 1
-            del entry[e]
-
-    positive = [s > 0 for s in d.signs]
-    arc = last
-    for ci, passes_over in d.gauss:
-        row = rows[ci]
-        if passes_over:
-            up = 1 if positive[ci] else -1  # 1-t, or t-1
-            add(row, arc, 0, up)
-            add(row, arc, 1, -up)
-        else:
-            add(row, arc, 1 if positive[ci] else 0, 1)
-            arc = (arc + 1) % n
-            add(row, arc, 0 if positive[ci] else 1, -1)
-    minor = rows[:last]
-    for row in minor:
-        row.pop(last, None)
-    return minor
+    gauss = d.gauss
+    start = next(j for j, (_, over) in enumerate(gauss) if over and not gauss[j - 1][1])
+    word = gauss[start:] + gauss[:start]
+    run_of = [0] * d.n  # the over-run holding each crossing's over passage
+    runs: list[list[int]] = []  # the crossings each under-run passes under
+    for j, (ci, passes_over) in enumerate(word):
+        if not passes_over:
+            runs[-1].append(ci)
+            continue
+        if not word[j - 1][1]:
+            runs.append([])
+        run_of[ci] = len(runs) - 1
+    last = len(runs) - 1
+    rows = []
+    for r in range(last):
+        terms = {(r + 1, 0): -1}  # (column, exponent) -> coefficient
+        e = 0
+        for ci in reversed(runs[r]):
+            o, eps = run_of[ci], d.signs[ci]
+            terms[o, e] = terms.get((o, e), 0) + 1
+            terms[o, e + eps] = terms.get((o, e + eps), 0) - 1
+            e += eps
+        terms[r, e] = terms.get((r, e), 0) + 1
+        row: dict[int, dict[int, int]] = {}
+        for (j, k), c in terms.items():
+            if c and j != last:
+                row.setdefault(j, {})[k] = c
+        rows.append(row)
+    return rows
 
 
 def alexander(D: PlanarDiagram, *, presimplify: bool = True) -> LaurentPolynomial:
-    """Canonical Alexander polynomial via a Wirtinger matrix minor.
+    """Canonical Alexander polynomial via an overpass matrix minor.
 
-    The minor comes as sparse integer rows straight from the Gauss word
-    (_wirtinger_minor).  Its determinant is one sparse fraction-free
-    Bareiss elimination over the integers after Kronecker substitution
-    t = 2**bits, with pivots in Markowitz order and lazily scaled rows;
-    bits is fixed by the Hadamard bound on the coefficients of every minor,
-    so the polynomial is recovered exactly (_bareiss_det).  The diagram is
+    The minor comes as sparse integer rows straight from the Gauss word,
+    one per under-run but one (_overpass_minor).  Its determinant is one
+    sparse fraction-free Bareiss elimination over the integers after
+    Kronecker substitution t = 2**bits, with pivots in Markowitz order and
+    lazily scaled rows; bits is fixed by the Hadamard bound on the
+    coefficients of every minor, so the polynomial is recovered exactly
+    (_bareiss_det).  The diagram is
     first reduced by simplify_diagram unless presimplify is False.
     """
     d = simplify_diagram(D) if presimplify else D
     if d.n <= 1:
         return LaurentPolynomial.one()
-    poly = _bareiss_det(_wirtinger_minor(d))
+    poly = _bareiss_det(_overpass_minor(d))
     if poly.is_zero:
         raise InternalInvariantError("Alexander minor vanished; diagram is not a knot")
     return canonicalize(poly)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import latticeknot as lk
 from latticeknot import LaurentPolynomial as LP
 from latticeknot import dataset, diagram
-from latticeknot.diagram import _assemble, _bareiss_det, _wirtinger_minor
+from latticeknot.diagram import _assemble, _bareiss_det, _overpass_minor
+from latticeknot.laurent import canonicalize
 
 from conftest import star_in_order, torus_alexander
 
@@ -171,17 +172,28 @@ class TestGaussWordStages:
             assert lk.simplify_diagram(R).n == R.n
             assert lk.alexander(S, presimplify=False) == lk.alexander(R, presimplify=False)
             for d in (D, S, R):
-                if d.n > 1:
-                    assert _wirtinger_minor(d) == sparse_rows(reference_wirtinger_minor(d))
+                want = canonicalize(sparse_bareiss_det(reference_wirtinger_minor(d)))
+                assert lk.alexander(d, presimplify=False) == want
 
     @pytest.mark.parametrize("a", [48, 64])
     def test_reach_at_large_a(self, a):
-        # Alexander is left out: at a=48 the sparse elimination takes 1.4 s
-        # on the n=179 input minor and 17 s on the n=266 output minor
-        for D in grid_and_output(a, 7000 + a):
+        grid, output = grid_and_output(a, 7000 + a)
+        for D in (grid, output):
             S = lk.simplify_diagram(D)
             assert S.n <= D.n
             assert reference_simplify_diagram(S).n == S.n
+        # the input side: a grid diagram's vertical strands are all over, so
+        # its overpass minor has at most a - 1 rows, simplified or not
+        S = lk.simplify_diagram(grid)
+        assert len(_overpass_minor(S)) <= len(_overpass_minor(grid)) <= a - 1
+        poly = lk.alexander(S, presimplify=False)
+        assert lk.alexander(grid, presimplify=False) == poly
+        assert abs(poly.evaluate(1)) == 1
+        assert poly.coeff_list() == poly.coeff_list()[::-1]
+        if a == 48:
+            P = lk.random_presentation(a, random.Random(7000 + a))
+            _, cert = lk.construct_auto(P)
+            assert cert.invariant_match.status == "matched"
 
 
 @st.composite
@@ -205,14 +217,36 @@ class TestSparseMinor:
     @given(kinked_diagrams())
     def test_kinks_emit_only_nonzero_entries(self, D):
         assert D.n >= 2
-        rows = _wirtinger_minor(D)
-        assert len(rows) == D.n - 1
-        for row in rows:
+        # b over-runs: over passages that follow an under passage, cyclically
+        b = sum(over and not D.gauss[j - 1][1] for j, (_, over) in enumerate(D.gauss))
+        rows = _overpass_minor(D)
+        assert len(rows) == b - 1
+        for r, row in enumerate(rows):
             for j, entry in row.items():
-                assert 0 <= j < D.n - 1
+                assert 0 <= j < b - 1
                 assert entry and all(entry.values())
-        assert rows == sparse_rows(reference_wirtinger_minor(D))
-        assert lk.alexander(D, presimplify=False) == lk.alexander(D)
+            # at t = 1 every relation reads x_{r+1} = x_r: bidiagonal, ones on the diagonal
+            at_one = {j: c for j, entry in row.items() if (c := sum(entry.values()))}
+            assert at_one == {j: c for j, c in ((r, 1), (r + 1, -1)) if j < b - 1}
+        assert _bareiss_det(rows).evaluate(1) in (1, -1)
+        want = canonicalize(sparse_bareiss_det(reference_wirtinger_minor(D)))
+        assert lk.alexander(D, presimplify=False) == want
+        assert lk.alexander(D) == want
+
+    def test_trefoil_rows_follow_the_crossing_signs(self, p5):
+        # U0 O1 U2 O0 U1 O2, all crossings positive: the word starts at O1, the
+        # over-runs are O1, O0, O2 and the under-runs pass under c2, c1, c0, so
+        # x1 = t x0 + (1 - t) x2 and x2 = t x1 + (1 - t) x0; column 2 is dropped
+        D = lk.arc_to_planar(p5)
+        assert D.gauss == ((0, False), (1, True), (2, False), (0, True), (1, False), (2, True))
+        assert D.signs == (1, 1, 1)
+        assert _overpass_minor(D) == [{1: {0: -1}, 0: {1: 1}}, {1: {1: 1}, 0: {0: 1, 1: -1}}]
+        # the mirror has every sign -1, so every t becomes 1/t: O0, O2, O1
+        # over c1, c0, c2 give x1 = x0/t + (1 - 1/t) x2 and x2 = x1/t + (1 - 1/t) x0
+        assert _overpass_minor(D.mirror()) == [
+            {1: {0: -1}, 0: {-1: 1}},
+            {1: {-1: 1}, 0: {0: 1, -1: -1}},
+        ]
 
 
 class TestAlexander:
@@ -228,7 +262,7 @@ class TestAlexander:
         P = star_in_order(9)
         assert lk.alexander(lk.arc_to_planar(P)) == torus_alexander(5, 4)
 
-    @pytest.mark.parametrize("a", [11, 13, 15, 17, 19, 21, 23, 25])
+    @pytest.mark.parametrize("a", [11, 13, 15, 17, 19, 21, 23, 25, 41])
     def test_torus_formula_oracle_past_a9(self, a):
         n = (a - 1) // 2
         assert lk.alexander(lk.arc_to_planar(star_in_order(a))) == torus_alexander(n + 1, n)
@@ -402,8 +436,9 @@ class TestKroneckerBareiss:
                 d = lk.simplify_diagram(D)
                 if d.n > 1:
                     mat = reference_wirtinger_minor(d)
-                    assert _wirtinger_minor(d) == sparse_rows(mat)
-                    assert _bareiss_det(sparse_rows(mat)) == sparse_bareiss_det(mat)
+                    want = sparse_bareiss_det(mat)
+                    assert _bareiss_det(sparse_rows(mat)) == want
+                    assert lk.alexander(d, presimplify=False) == canonicalize(want)
             checked += 1
 
     @pytest.mark.parametrize("size", [2, 4, 8])
