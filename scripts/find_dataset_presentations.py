@@ -52,7 +52,7 @@ def exhaustive_a6(target: LP) -> lk.ArcPresentation:
         )
         for pages in itertools.permutations(edges):
             P = lk.ArcPresentation(tuple(pages))
-            if lk.alexander(lk.arc_to_planar(P)) == target:
+            if lk.alexander(lk.simplify_diagram(lk.arc_to_planar(P))) == target:
                 return P
     raise SystemExit("no a=6 presentation matches the figure-8 polynomial")
 
@@ -68,7 +68,7 @@ def main() -> None:
         while remaining and tries < 2_000_000:
             tries += 1
             P = lk.random_presentation(a, rng)
-            poly = lk.alexander(lk.arc_to_planar(P))
+            poly = lk.alexander(lk.simplify_diagram(lk.arc_to_planar(P)))
             for name, target in list(remaining.items()):
                 if poly == target:
                     print(f'"{name}":', list(map(list, P.arcs)), f"# a={a}, tries={tries}")

@@ -19,7 +19,6 @@ from .arc import (
     mod_star,
     normalize_for_nonstar,
     random_presentation,
-    random_star_presentation,
     rotate,
     torus_order_check,
     validate,
@@ -37,8 +36,6 @@ from .diagram import (
     PlanarDiagram,
     alexander,
     arc_to_planar,
-    determinant,
-    faces,
     jones_kauffman,
     project_polygon,
     simplify_diagram,
@@ -51,7 +48,6 @@ from .lattice import (
     Violation,
     construct_basic,
     construct_nonstar,
-    lift_sweep,
     reduce_ends,
     stick_count,
     validate_polygon,
@@ -85,18 +81,14 @@ __all__ = [
     "construct_auto",
     "construct_basic",
     "construct_nonstar",
-    "determinant",
     "dual",
-    "faces",
     "find_nonstar_witness",
     "is_star_shaped",
     "jones_kauffman",
-    "lift_sweep",
     "mod_star",
     "normalize_for_nonstar",
     "project_polygon",
     "random_presentation",
-    "random_star_presentation",
     "reduce_ends",
     "rotate",
     "simplify_diagram",

@@ -321,16 +321,3 @@ def random_presentation(a: int, rng: random.Random) -> ArcPresentation:
     ]
     rng.shuffle(edges)
     return ArcPresentation(tuple(edges))
-
-
-def random_star_presentation(a: int, rng: random.Random) -> ArcPresentation:
-    """Star-shaped presentation with a random page assignment; a must be odd."""
-    if a < 3 or a % 2 == 0:
-        raise ValueError("star-shaped presentations need odd a >= 3")
-    n = (a - 1) // 2
-    edges = []
-    for i in range(1, a + 1):
-        j = mod_star(i + n, a)
-        edges.append((min(i, j), max(i, j)))
-    rng.shuffle(edges)
-    return ArcPresentation(tuple(edges))

@@ -21,7 +21,7 @@ from .arc import (
     normalize_for_nonstar,
     torus_order_check,
 )
-from .diagram import alexander, arc_to_planar, project_polygon
+from .diagram import alexander, arc_to_planar, project_polygon, simplify_diagram
 from .errors import InternalInvariantError
 from .lattice import (
     LatticePolygon,
@@ -171,8 +171,8 @@ def construct_auto(
         bound_name, expected = "3a-4", 3 * a - 4
 
     if check_invariant:
-        p_in = alexander(arc_to_planar(P))
-        p_out = alexander(project_polygon(poly))
+        p_in = alexander(simplify_diagram(arc_to_planar(P)))
+        p_out = alexander(simplify_diagram(project_polygon(poly)))
         match = InvariantMatch(
             status="matched" if p_in == p_out else "mismatched",
             input_alexander=tuple(p_in.coeff_list()),

@@ -146,7 +146,7 @@ def _cmd_invariant(args) -> int:
     else:
         diagram = arc_to_planar(value)
     simplified = simplify_diagram(diagram)
-    poly = alexander(simplified, presimplify=False)
+    poly = alexander(simplified)
     out = {
         "alexander": poly.coeff_list(),
         "alexander_str": str(poly),

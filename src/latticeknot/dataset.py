@@ -19,8 +19,6 @@ class DatasetEntry:
     name: str
     arcs: ArcPresentation
     crossing_number: int
-    alternating: bool
-    prime: bool
     non_alternating_prime: bool
     expected_alexander: tuple[int, ...]
     identification: str
@@ -31,8 +29,6 @@ def _entry(name, pairs, c, alternating, expected, identification):
         name=name,
         arcs=ArcPresentation(tuple(tuple(p) for p in pairs)),
         crossing_number=c,
-        alternating=alternating,
-        prime=True,
         non_alternating_prime=not alternating,
         expected_alexander=tuple(expected),
         identification=identification,

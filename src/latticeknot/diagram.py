@@ -3,24 +3,23 @@
 Diagrams come from two sources: the grid picture of an arc presentation
 (vertical strands over horizontal, the standard grid convention) and exact
 generic projections of 3-D lattice polygons.  Invariants: Alexander
-polynomial of an overpass minor, the knot determinant, and an optional
-Kauffman-bracket Jones polynomial.  A PlanarDiagram stores only its
-Gauss word (the passages in traversal order) and its crossing signs;
-passage j leaves on edge j, and edge 2n enters passage 1.
-Simplification and the overpass minor read only these.  Each passage is
-a pair (crossing, passes_over), and construction checks that every
-crossing is passed once over and once under.  The PD code, one tuple of
-four edge labels per crossing, is derived on demand for pd_code_text(),
-faces() and the Kauffman bracket, off the certify path.  The overpass
-minor, one row per under-run of the Gauss word but one, is written
-straight from the word as sparse integer rows {column: {exponent:
-coeff}}, and the Alexander determinant is one sparse fraction-free
-Bareiss elimination over Z after Kronecker substitution: the entries
-are packed into integers at t = 2**bits, where bits comes from a
-Hadamard bound on the coefficients of every minor, and the polynomial
-is read back from the balanced base-2**bits digits.  Pivots follow
-Markowitz's rule and a step rewrites only the rows with a nonzero in
-the pivot column; the others are rescaled lazily, when they are next
+polynomial of an overpass minor and an optional Kauffman-bracket Jones
+polynomial.  A PlanarDiagram stores only its Gauss word (the passages in
+traversal order) and its crossing signs; passage j leaves on edge j, and
+edge 2n enters passage 1.  Simplification and the overpass minor read
+only these.  Each passage is a pair (crossing, passes_over), and
+construction checks that every crossing is passed once over and once
+under.  The PD code, one tuple of four edge labels per crossing, is
+derived on demand for pd_code_text() and the Kauffman bracket, off the
+certify path.  The overpass minor, one row per under-run of the Gauss
+word but one, is written straight from the word as sparse integer rows
+{column: {exponent: coeff}}, and the Alexander determinant is one sparse
+fraction-free Bareiss elimination over Z after Kronecker substitution:
+the entries are packed into integers at t = 2**bits, where bits comes
+from a Hadamard bound on the coefficients of every minor, and the
+polynomial is read back from the balanced base-2**bits digits.  Pivots
+follow Markowitz's rule and a step rewrites only the rows with a nonzero
+in the pivot column; the others are rescaled lazily, when they are next
 touched.  A LaurentPolynomial is built only for the result.
 """
 
@@ -98,11 +97,6 @@ class PlanarDiagram:
             over_in, under_in = jo - 1 or total, ju - 1 or total
             pd.append((under_in, over_in, ju, jo) if s > 0 else (under_in, jo, ju, over_in))
         return tuple(pd)
-
-    def mirror(self) -> "PlanarDiagram":
-        """Swap over and under everywhere (mirror image diagram)."""
-        gauss = tuple([(ci, not passes_over) for ci, passes_over in self.gauss])
-        return PlanarDiagram(gauss, tuple([-s for s in self.signs]))
 
     def pd_code_text(self) -> str:
         return "\n".join("X({},{},{},{})".format(*labels) for labels in self.pd)
@@ -354,45 +348,7 @@ def _try_projection(verts: list[tuple[int, int, int]], B: int) -> PlanarDiagram 
 
 
 # ---------------------------------------------------------------------------
-# faces and Reidemeister simplification
-
-
-def faces(d: PlanarDiagram) -> list[list[tuple[int, int]]]:
-    """Faces of the 4-valent planar map as orbits of darts (crossing, slot)."""
-    n = d.n
-    if n == 0:
-        return []
-    at_label: dict[int, list[tuple[int, int]]] = {}
-    for ci, labels in enumerate(d.pd):
-        for slot, e in enumerate(labels):
-            at_label.setdefault(e, []).append((ci, slot))
-    # a consistent diagram has each edge label at exactly two darts
-    alpha: dict[tuple[int, int], tuple[int, int]] = {}
-    for first, second in at_label.values():
-        alpha[first] = second
-        alpha[second] = first
-
-    def nxt(dart):
-        ci, slot = alpha[dart]
-        return (ci, (slot + 1) % 4)
-
-    out = []
-    todo = {(ci, s) for ci in range(n) for s in range(4)}
-    while todo:
-        start = min(todo)
-        face = [start]
-        todo.remove(start)
-        cur = nxt(start)
-        while cur != start:
-            face.append(cur)
-            todo.remove(cur)
-            cur = nxt(cur)
-        out.append(face)
-    if len(out) != n + 2:
-        raise InternalInvariantError(
-            f"face count {len(out)} breaks Euler's formula for {n} crossings"
-        )
-    return out
+# Reidemeister simplification
 
 
 def simplify_diagram(d: PlanarDiagram) -> PlanarDiagram:
@@ -441,7 +397,7 @@ def simplify_diagram(d: PlanarDiagram) -> PlanarDiagram:
 
 
 # ---------------------------------------------------------------------------
-# Alexander polynomial, determinant, Kauffman bracket
+# Alexander polynomial and Kauffman bracket
 
 
 def _bareiss_det(rows: list[dict[int, dict[int, int]]]) -> LaurentPolynomial:
@@ -648,7 +604,7 @@ def _overpass_minor(d: PlanarDiagram) -> list[dict[int, dict[int, int]]]:
     return rows
 
 
-def alexander(D: PlanarDiagram, *, presimplify: bool = True) -> LaurentPolynomial:
+def alexander(d: PlanarDiagram) -> LaurentPolynomial:
     """Canonical Alexander polynomial via an overpass matrix minor.
 
     The minor comes as sparse integer rows straight from the Gauss word,
@@ -657,21 +613,15 @@ def alexander(D: PlanarDiagram, *, presimplify: bool = True) -> LaurentPolynomia
     Kronecker substitution t = 2**bits, with pivots in Markowitz order and
     lazily scaled rows; bits is fixed by the Hadamard bound on the
     coefficients of every minor, so the polynomial is recovered exactly
-    (_bareiss_det).  The diagram is
-    first reduced by simplify_diagram unless presimplify is False.
+    (_bareiss_det).  The diagram is taken as given: callers pass it through
+    simplify_diagram first, so the minor has fewer rows.
     """
-    d = simplify_diagram(D) if presimplify else D
     if d.n <= 1:
         return LaurentPolynomial.one()
     poly = _bareiss_det(_overpass_minor(d))
     if poly.is_zero:
         raise InternalInvariantError("Alexander minor vanished; diagram is not a knot")
     return canonicalize(poly)
-
-
-def determinant(D: PlanarDiagram) -> int:
-    """|Alexander at t = -1|; odd for every knot."""
-    return abs(alexander(D).evaluate(-1))
 
 
 def jones_kauffman(D: PlanarDiagram) -> LaurentPolynomial:

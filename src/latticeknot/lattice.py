@@ -239,13 +239,13 @@ def _polygon(cycle: list[Point]) -> LatticePolygon:
     return LatticePolygon(tuple([sticks[(start + step * t) % m] for t in range(m)]))
 
 
-def _checked(cycle: list[Point], sticks: int | None = None) -> LatticePolygon:
+def _checked(cycle: list[Point], sticks: int) -> LatticePolygon:
     """The polygon of a constructed cycle; an invalid one is a bug."""
     try:
         poly = _polygon(cycle)
     except SelfIntersectionError as exc:
         raise InternalInvariantError(f"constructed polygon is invalid: {exc}") from exc
-    if sticks is not None and len(poly.sticks) != sticks:
+    if len(poly.sticks) != sticks:
         raise InternalInvariantError(
             f"construction produced {len(poly.sticks)} sticks, expected {sticks}"
         )
@@ -332,14 +332,3 @@ def construct_nonstar(nns: NormalizedNonStar) -> LatticePolygon:
     two collinear x-sticks, giving a valid polygon with exactly 3a-4 sticks.
     """
     return _checked(_nonstar_cycle(nns, nns.lift_page), 3 * nns.presentation.a - 4)
-
-
-def lift_sweep(nns: NormalizedNonStar) -> list[LatticePolygon]:
-    """Snapshots of the flipped arc at every z-level 1..lift_page.
-
-    Level 1 is the reduced pre-lift polygon and level lift_page the merged
-    final one.  When the arc passes the level of its alpha-side neighbour
-    the connecting z-stick degenerates away and collinear sticks fuse; each
-    snapshot is a valid polygon, witnessing the free vertical slide.
-    """
-    return [_checked(_nonstar_cycle(nns, level)) for level in range(1, nns.lift_page + 1)]

@@ -115,34 +115,6 @@ class LaurentPolynomial:
             return int(total)
         return total
 
-    def div_exact(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact division; raises ValueError when the quotient is not integral."""
-        if other.is_zero:
-            raise ZeroPolynomialError("division by the zero polynomial")
-        if self.is_zero:
-            return LaurentPolynomial.zero()
-        shift = self.min_exp - other.min_exp
-        num = dict(self.shifted(-self.min_exp)._coeffs)
-        den = other.shifted(-other.min_exp)
-        quot: dict[int, int] = {}
-        den_deg = den.max_exp
-        den_lead = den.coeff(den_deg)
-        while num:
-            deg = max(num)
-            if deg < den_deg:
-                raise ValueError("inexact polynomial division")
-            lead = num[deg]
-            if lead % den_lead:
-                raise ValueError("inexact polynomial division")
-            q = lead // den_lead
-            quot[deg - den_deg] = q
-            for e, c in den._coeffs.items():
-                ne = e + deg - den_deg
-                num[ne] = num.get(ne, 0) - q * c
-                if not num[ne]:
-                    del num[ne]
-        return LaurentPolynomial(quot).shifted(shift)
-
     # -- comparison / display -------------------------------------------
 
     def __eq__(self, other: object) -> bool:

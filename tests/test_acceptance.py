@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import latticeknot as lk
 from latticeknot import dataset, jsonio
 
-from conftest import star_in_order, torus_alexander
+from conftest import lift_sweep, star_in_order, torus_alexander
 
 
 @contextmanager
@@ -145,7 +145,7 @@ def test_criterion_9_lift_sweep():
             w = lk.find_nonstar_witness(P)
             assert w is not None
             nns = lk.normalize_for_nonstar(P, w)
-            sweep = lk.lift_sweep(nns)
+            sweep = lift_sweep(nns)
             assert len(sweep) == nns.lift_page
             for poly in sweep:
                 assert lk.validate_polygon(poly) == []

@@ -11,7 +11,7 @@ import latticeknot as lk
 from latticeknot import PresentationError
 from latticeknot.errors import InternalInvariantError
 
-from conftest import star_in_order
+from conftest import random_star_presentation, star_in_order
 
 
 class TestModStar:
@@ -193,7 +193,7 @@ class TestValidate:
             P = lk.random_presentation(rng.randint(5, 10), rng)
             assert lk.validate([list(p) for p in P.arcs]) == P
         for _ in range(50):
-            P = lk.random_star_presentation(rng.choice([5, 7, 9]), rng)
+            P = random_star_presentation(rng.choice([5, 7, 9]), rng)
             assert lk.is_star_shaped(P)
 
 
@@ -224,7 +224,7 @@ class TestRotations:
     def test_rotations_preserve_star_shape(self):
         rng = random.Random(10)
         for _ in range(30):
-            P = lk.random_star_presentation(rng.choice([5, 7, 9]), rng)
+            P = random_star_presentation(rng.choice([5, 7, 9]), rng)
             m = rng.randint(0, P.a)
             assert lk.is_star_shaped(lk.rotate(P, pages=m))
             assert lk.is_star_shaped(lk.rotate(P, bindings=m))
@@ -363,7 +363,7 @@ class TestWitness:
         for _ in range(300):
             a = rng.randint(5, 9)
             P = (
-                lk.random_star_presentation(a, rng)
+                random_star_presentation(a, rng)
                 if a % 2 and rng.random() < 0.4
                 else lk.random_presentation(a, rng)
             )

@@ -7,7 +7,7 @@ import pytest
 import latticeknot as lk
 from latticeknot import dataset
 
-from conftest import star_in_order
+from conftest import random_star_presentation, star_in_order
 
 
 def scrambled_star(a):
@@ -51,7 +51,7 @@ class TestConstructAuto:
         for _ in range(60):
             a = rng.randint(5, 9)
             P = (
-                lk.random_star_presentation(a, rng)
+                random_star_presentation(a, rng)
                 if a % 2 and rng.random() < 0.5
                 else lk.random_presentation(a, rng)
             )

@@ -1,9 +1,11 @@
 """Command-line surface: subcommands, exit codes, canonical JSON output."""
 
 import argparse
+import inspect
 import io
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -15,6 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import latticeknot as lk
 from latticeknot.cli import _make_parser, _UsageError, main
+
+from conftest import random_star_presentation
 
 
 def run(argv, stdin_text=None):
@@ -320,7 +324,7 @@ class TestInternalErrors:
 
         P = next(
             Q
-            for Q in (lk.random_star_presentation(7, random.Random(s)) for s in range(100))
+            for Q in (random_star_presentation(7, random.Random(s)) for s in range(100))
             if lk.torus_order_check(Q) is None
         )
         path = tmp_path / "star.json"
@@ -737,3 +741,106 @@ def test_any_json_input_gets_a_documented_exit_code(command, doc):
     code, _, err = run([*command, "-"], stdin_text=json.dumps(doc))
     assert code in {0, 2, 3, 4, 64, 70}
     assert "Traceback" not in err
+
+
+# Functions that no CLI command enters and that stay in src/, each with its reason.
+_NOT_ON_A_COMMAND_PATH = {
+    "laurent.LaurentPolynomial.__hash__": "the value type defines __eq__, so it stays hashable",
+    "laurent.LaurentPolynomial.__repr__": "pytest failure messages show the polynomial",
+    "laurent.LaurentPolynomial.__sub__": "the tests' dense Bareiss reference subtracts entries",
+    "laurent.LaurentPolynomial.from_coeffs": "scripts/find_dataset_presentations.py builds its targets",
+    "cli._silence": "runs only when stdout or stderr is a broken pipe",
+    "dataset._entry": "runs once, at import, before any command",
+}
+
+_PRESENTATION_COMMANDS = (
+    ["validate"], ["dual"], ["star"], ["rotate", "--pages", "2", "--bindings", "3"], ["invariant"]
+)
+
+_SPIKE_POLYGON = {"sticks": [
+    {"axis": "x", "range": [0, 2], "fixed": {"y": 0, "z": 0}},
+    {"axis": "z", "range": [0, 1], "fixed": {"x": 2, "y": 0}},
+    {"axis": "y", "range": [0, 2], "fixed": {"x": 2, "z": 0}},
+    {"axis": "x", "range": [0, 2], "fixed": {"y": 2, "z": 0}},
+    {"axis": "y", "range": [0, 2], "fixed": {"x": 0, "z": 0}},
+]}
+
+
+def _source_functions() -> dict[tuple[str, int, str], str]:
+    """(file, first line, name) -> "module.qualified.name" for every function or
+    method written in a latticeknot module; class bodies, comprehensions and
+    dataclass-generated methods (compiled from no file) are left out."""
+    out = {}
+
+    def walk(code, prefix, module):
+        for const in code.co_consts:
+            if not inspect.iscode(const) or const.co_name.startswith("<"):
+                continue
+            qualname = f"{prefix}.{const.co_name}" if prefix else const.co_name
+            if const.co_flags & inspect.CO_NEWLOCALS:
+                out[const.co_filename, const.co_firstlineno, const.co_name] = f"{module}.{qualname}"
+            walk(const, qualname, module)
+
+    for info in pkgutil.iter_modules(lk.__path__):
+        path = os.path.join(lk.__path__[0], f"{info.name}.py")
+        with open(path, encoding="utf-8") as fh:
+            walk(compile(fh.read(), path, "exec"), "", info.name)
+    return out
+
+
+def test_every_src_function_is_entered_by_a_cli_command(tmp_path):
+    """src/ holds only what a command runs: every command over the 17 bundled
+    knots, each build branch's polygon through invariant and render, and the
+    error paths, run under a profiler that records each function entered."""
+    from latticeknot import dataset
+
+    for name in lk.__all__:
+        getattr(lk, name)
+
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for name in dataset.names():
+            e = dataset.get(name)
+            src = write(f"{name}.json", e.arcs.to_json_obj())
+            for argv in _PRESENTATION_COMMANDS:
+                assert run([*argv, src])[0] == 0, (name, argv)
+            certify = ["certify", "--c", str(e.crossing_number)]
+            if e.non_alternating_prime:
+                certify.append("--non-alternating-prime")
+            assert run([*certify, src])[0] == (2 if name == "3_1" else 0), name
+            for branch in ("auto", "basic", "reduced", "nonstar"):
+                out = str(tmp_path / f"{name}-{branch}.json")
+                if run(["build", "--branch", branch, "--out", out, src])[0] == 0:
+                    assert run(["invariant", out])[0] == 0, (name, branch)
+                    svg, obj = str(tmp_path / "out.svg"), str(tmp_path / "out.obj")
+                    assert run(["render", "--svg", svg, "--obj", obj, out])[0] == 0, (name, branch)
+        assert run(["invariant", "--jones", "--pd", str(tmp_path / "3_1.json")])[0] == 0
+        assert run(["dataset", "list"])[0] == 0
+        assert run(["dataset", "get", "4_1"])[0] == 0
+        assert run(["random", "--a", "9", "--seed", "1"])[0] == 0
+        assert run(["nope"])[0] == 64
+        triple = write("triple.json", {"arcs": [[1, 2], [1, 3], [1, 4], [3, 4]]})
+        assert run(["validate", triple])[0] == 4
+        assert run(["invariant", write("spike.json", _SPIKE_POLYGON)])[0] == 4
+    finally:
+        sys.setprofile(previous)
+
+    seen = {(code.co_filename, code.co_firstlineno, code.co_name) for code in entered}
+    functions = _source_functions()
+    allowed = set(_NOT_ON_A_COMMAND_PATH)
+    assert not allowed - set(functions.values()), "an allow-listed function is gone"
+    never = {name for key, name in functions.items() if key not in seen}
+    assert not never - allowed, f"no CLI command enters {sorted(never - allowed)}"
+    assert not allowed - never, f"allow-listed but entered: {sorted(allowed - never)}"

@@ -27,12 +27,6 @@ class TestEntries:
             got = lk.alexander(lk.arc_to_planar(e.arcs))
             assert tuple(got.coeff_list()) == e.expected_alexander, name
 
-    def test_flags_consistent(self):
-        for name in dataset.names():
-            e = dataset.get(name)
-            assert e.prime
-            assert e.non_alternating_prime == (not e.alternating and e.prime)
-
     def test_arc_counts(self):
         assert dataset.get("3_1").arcs.a == 5
         assert dataset.get("4_1").arcs.a == 6

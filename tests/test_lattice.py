@@ -11,6 +11,8 @@ import latticeknot.lattice as lattice_mod
 from latticeknot import LatticePolygon, LatticeStick, cli, dataset
 from latticeknot.lattice import Violation
 
+from conftest import lift_sweep, random_star_presentation
+
 
 def unit_square():
     return LatticePolygon(
@@ -204,7 +206,7 @@ class TestConstructNonstar:
 class TestLiftSweep:
     def test_figure8_sweep_valid(self, p6):
         nns = normalized(p6)
-        sweep = lk.lift_sweep(nns)
+        sweep = lift_sweep(nns)
         assert len(sweep) == nns.lift_page
         for poly in sweep:
             assert lk.validate_polygon(poly) == []
@@ -229,7 +231,7 @@ class TestLiftSweep:
             if not 1 < q_alpha < nns.lift_page:
                 continue
             exercised += 1
-            for poly in lk.lift_sweep(nns):
+            for poly in lift_sweep(nns):
                 assert lk.validate_polygon(poly) == []
         assert exercised == 10
 
@@ -377,7 +379,7 @@ class TestCornerCycle:
             rng = random.Random(6000 + a)
             yield from (lk.random_presentation(a, rng) for _ in range(4 if a <= 12 else 2))
             if a % 2:
-                yield lk.random_star_presentation(a, rng)
+                yield random_star_presentation(a, rng)
 
     def test_builds_equal_reference_sticks(self):
         nonstar = 0
@@ -401,7 +403,7 @@ class TestCornerCycle:
                 if lk.is_star_shaped(P):
                     continue
                 nns = normalized(P)
-                sweep = lk.lift_sweep(nns)
+                sweep = lift_sweep(nns)
                 for level, poly in enumerate(sweep, start=1):
                     assert poly.sticks == reference_nonstar(nns, level)
                 levels += len(sweep)
@@ -433,7 +435,7 @@ class TestCornerCycle:
         from latticeknot.lattice import _checked
 
         with pytest.raises(lk.InternalInvariantError, match="axis_repeat"):
-            _checked(cycle)
+            _checked(cycle, len(cycle))
 
 
 def reference_overlap_points(s, t):

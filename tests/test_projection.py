@@ -12,7 +12,7 @@ from latticeknot.certify import build_branch
 from latticeknot.diagram import _assemble, _try_projection, segment_crossings
 from latticeknot.render import _depth, _screen
 
-from conftest import certified_polygon
+from conftest import certified_polygon, faces
 
 
 def _cross2(u, v):
@@ -237,7 +237,7 @@ class TestProjectPolygon:
             P = lk.random_presentation(rng.randint(5, 8), rng)
             D = lk.project_polygon(lk.construct_basic(P))
             if D.n:
-                assert len(lk.faces(D)) == D.n + 2
+                assert len(faces(D)) == D.n + 2
 
     def test_rejects_invalid_polygon(self):
         """An invalid polygon never reaches project_polygon: constructing it raises."""
