@@ -8,6 +8,7 @@ bug, EX_SOFTWARE).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -196,7 +197,10 @@ def _cmd_dataset(args) -> int:
         return EXIT_OK
     if not args.name:
         raise _UsageError("dataset get needs a knot name")
-    e = dataset.get(args.name)
+    try:
+        e = dataset.get(args.name)
+    except KeyError:
+        raise ValueError(f"no bundled knot named {args.name!r}; see latticeknot dataset list") from None
     _print(e.arcs.to_json_obj())
     return EXIT_OK
 
@@ -213,7 +217,8 @@ _FILE = ("file", {})
 _STORE_TRUE = {"action": "store_true"}
 
 # name -> (handler, help, arguments as (name or flag, add_argument options));
-# one table for the full tree and for a parser holding only the command run
+# one table for the full tree and for a parser holding only the command run,
+# each built once per process
 _COMMANDS = {
     "validate": (_cmd_validate, "check a presentation and print its canonical JSON", [_FILE]),
     "dual": (_cmd_dual, "print the dual presentation", [_FILE]),
@@ -277,11 +282,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _make_parser(command: str | None = None) -> _Parser:
-    """The parser with only `command`'s subparser when it names one, else the full tree."""
+    """The parser with only `command`'s subparser, or the full tree for None.
+
+    Safe to share: parse_args returns a new Namespace and leaves the parser
+    as it was, and help reads the terminal width when it is formatted.
+    """
     parser = _Parser(prog="latticeknot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in _COMMANDS else _COMMANDS:
+    for name in [command] if command else _COMMANDS:
         func, help_text, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         for flag, options in arguments:
@@ -308,13 +318,15 @@ def _diagnose(message: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; argv defaults to sys.argv[1:] and the result is the exit code.
 
-    Each call builds one subparser, the one named by argv[0]; the full tree
-    of commands is built only when argv[0] names none (no command, -h or
-    --help, or an unknown command), so usage errors and help read the same.
+    The parser holds one subparser, the one named by argv[0], or the full
+    tree of commands when argv[0] names none (no command, -h or --help, or an
+    unknown command), so usage errors and help read the same. Each parser is
+    built once per process and no call changes it, so concurrent calls need
+    no coordination (at worst two threads each build the same parser once).
     """
     if argv is None:
         argv = sys.argv[1:]
-    parser = _make_parser(argv[0] if argv else None)
+    parser = _make_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
@@ -331,10 +343,10 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         _diagnose(f"usage error: {exc}")
         return EXIT_USAGE
-    except (SelfIntersectionError, ValueError, KeyError) as exc:
+    except (SelfIntersectionError, ValueError) as exc:
         _diagnose(f"invalid input: {exc}")
         return EXIT_INVALID
-    except (InternalInvariantError, NoGenericDirectionError) as exc:
+    except (InternalInvariantError, NoGenericDirectionError, KeyError) as exc:
         _diagnose(f"internal error: {exc}")
         return EXIT_INTERNAL
 

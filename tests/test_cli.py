@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import latticeknot as lk
-from latticeknot.cli import _make_parser, _UsageError, main
+from latticeknot.cli import _COMMANDS, _make_parser, _UsageError, main
 
 from conftest import random_star_presentation
 
@@ -179,6 +179,64 @@ class TestParser:
     def test_argv_defaults_to_sys_argv(self, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["latticeknot", "random", "--a", "7", "--seed", "3"])
         assert run(None) == run(["random", "--a", "7", "--seed", "3"])
+
+    def test_a_shared_parser_leaks_nothing_between_calls(self, tmp_path):
+        from latticeknot import dataset
+
+        src = tmp_path / "8_20.json"
+        src.write_text(json.dumps(dataset.get("8_20").arcs.to_json_obj()))
+        certify = ["certify", "--c", "8"]
+        calls = [
+            [*certify, "--non-alternating-prime", str(src)],
+            [*certify, str(src)],
+            [*certify, "--skip-invariant", str(src)],
+            ["certify", "--c", "x", str(src)],
+            ["nope"],
+            [*certify, str(src)],
+        ]
+        cold = []
+        for argv in calls:
+            _make_parser.cache_clear()
+            cold.append(run(argv))
+        _make_parser.cache_clear()
+        warm = [run(argv) for argv in calls]
+        assert warm == cold
+        assert [code for code, _, _ in warm] == [0, 0, 0, 64, 64, 0]
+        # the flags of one call must not reach the next
+        assert '"name":"3c-4"' in warm[0][1]
+        assert '"name":"3c-4"' not in warm[1][1]
+        assert '"status":"skipped"' in warm[2][1]
+        assert warm[5] == warm[1]
+
+    def test_the_cache_holds_a_parser_per_command_and_one_tree(self):
+        _make_parser.cache_clear()
+        for command in _COMMANDS:
+            assert run([command])[0] == 64
+        for k in range(50):
+            assert run([f"nope{k}"])[0] == 64
+        assert _make_parser.cache_info().currsize <= len(_COMMANDS) + 1
+
+    def test_repeated_certify_builds_its_parser_once(self, files):
+        _make_parser.cache_clear()
+        for _ in range(20):
+            assert run(["certify", "--c", "4", files["4_1"]])[0] == 0
+        assert _make_parser.cache_info().misses == 1
+
+    def test_help_reads_the_same_warm_as_cold(self):
+        def help_text(argv):
+            out = io.StringIO()
+            with redirect_stdout(out), pytest.raises(SystemExit) as info:
+                main(argv)
+            return info.value.code, out.getvalue()
+
+        calls = [["--help"], *([command, "--help"] for command in _COMMANDS)]
+        cold = []
+        for argv in calls:
+            _make_parser.cache_clear()
+            cold.append(help_text(argv))
+        for argv in calls:
+            help_text(argv)
+        assert [help_text(argv) for argv in calls] == cold
 
 
 class TestBuildInvariant:
@@ -356,6 +414,18 @@ class TestInternalErrors:
         assert out == ""
         assert err.startswith("internal error:")
         assert "Traceback" not in err
+
+    def test_key_error_from_the_pipeline_exit_70(self, files, monkeypatch):
+        import latticeknot.certify as certify_mod
+
+        def buggy(d):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(certify_mod, "simplify_diagram", buggy)
+        code, out, err = run(["certify", files["4_1"], "--c", "4"])
+        assert code == 70
+        assert out == ""
+        assert err == "internal error: 'bug'\n"
 
     @pytest.mark.parametrize("command", [["build"], ["certify", "--c", "4"]])
     def test_constructed_polygon_failing_validation_exit_70(self, files, monkeypatch, command):
@@ -546,8 +616,10 @@ class TestDatasetCommands:
         assert code == 0
 
     def test_get_unknown(self):
-        code, _, _ = run(["dataset", "get", "99_99"])
+        code, out, err = run(["dataset", "get", "99_99"])
         assert code == 4
+        assert out == ""
+        assert err == "invalid input: no bundled knot named '99_99'; see latticeknot dataset list\n"
 
     def test_get_without_name(self):
         code, _, _ = run(["dataset", "get"])
@@ -809,6 +881,7 @@ def test_every_src_function_is_entered_by_a_cli_command(tmp_path):
             entered.add(frame.f_code)
 
     previous = sys.getprofile()
+    _make_parser.cache_clear()  # so a command builds its parser under the profiler
     sys.setprofile(profile)
     try:
         for name in dataset.names():
