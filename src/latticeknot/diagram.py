@@ -293,8 +293,19 @@ def project_polygon(poly: LatticePolygon) -> PlanarDiagram:
     hit an exact integer key, its parameter times the segment's scale, and
     the sign of the difference of the two depths along the projection
     direction at the crossing (larger depth is nearer the viewer).
+
+    For B > M the direction is nearly the z axis, where the constructions
+    stack their pages.  `invariant` keeps this view, because the benchmark
+    digests pin its PD output.  certify looks nearly along y, a binding
+    axis, with fewer over-runs: it runs this code on the vertices cycled
+    to (z, x, y) (certify._output_diagram), a cyclic permutation because a
+    swap of two axes would mirror the diagram.
     """
-    verts = poly.vertices()
+    return _project_vertices(poly.vertices())
+
+
+def _project_vertices(verts: list[tuple[int, int, int]]) -> PlanarDiagram:
+    """project_polygon on the corners of a valid polygon, in cyclic order."""
     M = max(1, max(abs(c) for v in verts for c in v))
     for B in range(M + 2, M + 2 + 64):
         result = _try_projection(verts, B)

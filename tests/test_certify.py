@@ -5,6 +5,8 @@ import random
 import pytest
 
 import latticeknot as lk
+import latticeknot.certify as certify_mod
+from latticeknot import LaurentPolynomial as LP
 from latticeknot import dataset
 
 from conftest import random_star_presentation, star_in_order
@@ -82,6 +84,47 @@ class TestConstructAuto:
         _, cert = lk.construct_auto(p6, check_invariant=False)
         assert cert.invariant_match.status == "skipped"
         assert cert.invariant_match.input_alexander is None
+
+
+def certify_output_diagram(P, monkeypatch):
+    """construct_auto's polygon and the simplified output-side diagram it
+    hands to alexander, which is stubbed out: the callers compare diagrams,
+    not determinants."""
+    seen = []
+    monkeypatch.setattr(certify_mod, "alexander", lambda d: seen.append(d) or LP.one())
+    poly, _ = lk.construct_auto(P)
+    assert len(seen) == 2  # the input side, then the output side
+    return poly, seen[1]
+
+
+def over_runs(d):
+    """b, the number of maximal cyclic over-runs in the Gauss word."""
+    g = d.gauss
+    return sum(1 for j, (_, over) in enumerate(g) if over and not g[j - 1][1])
+
+
+class TestOutputView:
+    """certify projects the polygon cycled to (z, x, y), not project_polygon's view."""
+
+    def test_view_keeps_handedness_on_the_dataset(self, monkeypatch):
+        # a cyclic permutation of the axes is a rotation; the swap (x, z, y)
+        # would mirror the diagram and change Jones on the chiral knots
+        for name in dataset.names():
+            poly, S = certify_output_diagram(dataset.get(name).arcs, monkeypatch)
+            want = lk.jones_kauffman(lk.simplify_diagram(lk.project_polygon(poly)))
+            assert lk.jones_kauffman(S) == want, name
+
+    @pytest.mark.parametrize("a", [48, 56, 64])
+    def test_fewer_over_runs_than_the_page_axis_view(self, a, monkeypatch):
+        # counts only: the page-axis view's determinant takes seconds to
+        # minutes at a = 64
+        ours = theirs = 0
+        for s in range(3):
+            P = lk.random_presentation(a, random.Random(1000 * a + s))
+            poly, S = certify_output_diagram(P, monkeypatch)
+            ours += over_runs(S)
+            theirs += over_runs(lk.simplify_diagram(lk.project_polygon(poly)))
+        assert ours < theirs
 
 
 class TestCheckBounds:
