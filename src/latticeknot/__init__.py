@@ -32,7 +32,6 @@ from .certify import (
 )
 from .diagram import (
     CrossingCapExceededError,
-    NoGenericDirectionError,
     PlanarDiagram,
     alexander,
     arc_to_planar,
@@ -64,7 +63,6 @@ __all__ = [
     "LatticePolygon",
     "LatticeStick",
     "LaurentPolynomial",
-    "NoGenericDirectionError",
     "NonStarWitness",
     "NormalizedNonStar",
     "NotStarShapedError",

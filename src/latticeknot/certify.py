@@ -21,7 +21,7 @@ from .arc import (
     normalize_for_nonstar,
     torus_order_check,
 )
-from .diagram import PlanarDiagram, _project_vertices, alexander, arc_to_planar, simplify_diagram
+from .diagram import PlanarDiagram, _top_view, alexander, arc_to_planar, simplify_diagram
 from .errors import InternalInvariantError
 from .lattice import (
     LatticePolygon,
@@ -151,9 +151,8 @@ def build_branch(P: ArcPresentation, branch: str) -> tuple[str, LatticePolygon]:
 
 
 def _output_diagram(poly: LatticePolygon) -> PlanarDiagram:
-    """project_polygon's code on the vertices cycled (x, y, z) -> (z, x, y):
-    the view is nearly along y, and every genericity check still runs."""
-    return _project_vertices([(z, x, y) for x, y, z in poly.vertices()])
+    """The top view of the vertices cycled (x, y, z) -> (z, x, y): y is up."""
+    return _top_view([(z, x, y) for x, y, z in poly.vertices()])
 
 
 def construct_auto(
@@ -166,7 +165,7 @@ def construct_auto(
     Alexander polynomial of the projected polygon is compared with the
     input presentation's.
 
-    The output side looks nearly along y, a binding axis (_output_diagram),
+    The output side looks along y, a binding axis (_output_diagram),
     not along z as project_polygon does: the constructions put page k at
     z = k, so a view along z stacks every page's arc on every other's, and
     the Alexander cost follows the over-runs that adds.  The view is a

@@ -31,7 +31,6 @@ from .certify import (
     require_crossing_number,
 )
 from .diagram import (
-    NoGenericDirectionError,
     alexander,
     arc_to_planar,
     jones_kauffman,
@@ -346,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SelfIntersectionError, ValueError) as exc:
         _diagnose(f"invalid input: {exc}")
         return EXIT_INVALID
-    except (InternalInvariantError, NoGenericDirectionError, KeyError) as exc:
+    except (InternalInvariantError, KeyError) as exc:
         _diagnose(f"internal error: {exc}")
         return EXIT_INTERNAL
 

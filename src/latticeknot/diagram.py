@@ -2,7 +2,7 @@
 
 Diagrams come from two sources: the grid picture of an arc presentation
 (vertical strands over horizontal, the standard grid convention) and exact
-generic projections of 3-D lattice polygons.  Invariants: Alexander
+top views of 3-D lattice polygons.  Invariants: Alexander
 polynomial of an overpass minor and an optional Kauffman-bracket Jones
 polynomial.  A PlanarDiagram stores only its Gauss word (the passages in
 traversal order) and its crossing signs; passage j leaves on edge j, and
@@ -26,19 +26,12 @@ touched.  A LaurentPolynomial is built only for the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from bisect import bisect_left, bisect_right
-from itertools import combinations
-from operator import itemgetter
-from math import gcd, isqrt, lcm
+from math import isqrt
 
 from .arc import ArcPresentation
 from .errors import InternalInvariantError
 from .lattice import LatticePolygon
 from .laurent import LaurentPolynomial, canonicalize
-
-
-class NoGenericDirectionError(RuntimeError):
-    """All candidate projection directions failed the genericity checks."""
 
 
 class CrossingCapExceededError(ValueError):
@@ -118,119 +111,6 @@ def _assemble(events: list[tuple[object, bool]], signs: dict) -> PlanarDiagram:
     return PlanarDiagram(gauss, tuple([signs[key] for key in index]))
 
 
-def segment_crossings(
-    pts: list[tuple[int, int]], depths: list[int]
-) -> tuple[list[int], list[tuple[int, int, int, int, int, int]]]:
-    """Meeting points of non-adjacent segments of the closed polyline pts.
-
-    Segment k runs from pts[k] to pts[k+1 mod m], and its depth runs
-    linearly from depths[k] to depths[k+1 mod m].  Returns (scales, found):
-    one positive int per segment, and (s1, s2, k1, k2, sign, over), all
-    plain ints, for every pair s1 < s2 of non-parallel segments that meet,
-    in order of s1 then s2.  They meet at the parameters t1 = k1 / scales[s1]
-    along s1 and t2 = k2 / scales[s2] along s2, with 0 <= t1, t2 <= 1, so
-    the meeting point is an end of s exactly when k is 0 or scales[s]; no
-    rational is built.  sign is +1 when segment s2 crosses segment s1 from
-    right to left, else -1.  over is the sign of s1's depth minus s2's
-    depth at the meeting point, 0 when they are equal.  Parallel pairs are
-    skipped, and so is a zero-length segment, which is parallel to
-    everything.
-
-    Segments are grouped by primitive direction up to sign: segment s runs
-    along +-g_s * u, g_s > 0 the gcd of its direction and u its class.  The
-    offset cross(w, p) is constant along a w-segment, and for two classes u
-    and v the offsets (cross(u, p), cross(v, p)) are an invertible integer
-    map of the plane (its determinant is cross(u, v) != 0).  A u-segment
-    maps to a v-offset interval at one u-offset and a v-segment to a
-    u-offset interval at one v-offset, so the two closed segments meet
-    exactly when each one's fixed offset lies in the other's interval,
-    bounds included.  Each class is sorted by offset once; for each pair of
-    classes the sorted v-segments are bisected for each u-segment's
-    interval and the survivors' interval is checked.  With c classes this
-    costs O(c * m log m) plus one comparison per pair whose v-offset
-    matches, instead of m**2 / 2 pair tests; a lattice polygon's linear
-    views have c = 3.
-
-    scales[s] = g_s * C, with C the lcm of |cross(u, v)| over every pair of
-    classes present (1 with fewer than two); a zero-length segment gets C.
-    The keys need no division.  Along a u-segment s from p0 the v-offset
-    runs from o0 = cross(v, p0) to o0 +- g_s * cross(v, u), so it reaches a
-    v-segment's offset o at t = (o - o0) / (+-g_s * cross(v, u)), and the
-    key t * g_s * C is (o - o0) times the step +-C / |cross(u, v)|, an
-    integer since cross(u, v) divides C; the same holds with u and v
-    swapped.  So a segment's meeting points sort by their keys exactly, and
-    two are the same point exactly when their keys are equal.  The depths at
-    a meeting point, d_s + key * (d_s' - d_s) / scales[s] on each segment,
-    are compared times scales[s1] * scales[s2].
-
-    Which class of a pair is bisected sets how many pairs are compared.
-    A u-segment of direction g * u spans g * |cross(u, v)| in v-offset, so
-    if the v-segments' offsets were spread evenly over their span S_v, the
-    u-intervals would cover |cross(u, v)| * G_u * n_v / (S_v + 1) of them,
-    with n_v the v-class size and G_u the u-class length in units of u.
-    The cross is common to both choices, so each class gets the density
-    n / (G * (S + 1)) once, and of each pair the sparser class is bisected.
-    """
-    m = len(pts)
-    segs = [(x, y, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:] + pts[:1])]
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}  # class -> (segment, g)
-    for k, (_, _, dx, dy) in enumerate(segs):
-        g = gcd(dx, dy)
-        if g:
-            if dx < 0 or (dx == 0 and dy < 0):
-                groups.setdefault((-dx // g, -dy // g), []).append((k, g))
-            else:
-                groups.setdefault((dx // g, dy // g), []).append((k, g))
-    C = lcm(*(abs(ux * vy - uy * vx) for (ux, uy), (vx, vy) in combinations(groups, 2)))
-    scales = [C] * m
-    classes = []
-    for (wx, wy), group in groups.items():
-        for k, g in group:
-            scales[k] = g * C
-        offsets = sorted([(wx * segs[k][1] - wy * segs[k][0], k) for k, _ in group])
-        length = sum([g for _, g in group])
-        density = len(group) / (length * (offsets[-1][0] - offsets[0][0] + 1))
-        classes.append((density, wx, wy, offsets, [o for o, _ in offsets]))
-    # densest class first, so the later class of each pair is bisected
-    classes.sort(key=itemgetter(0), reverse=True)
-    rise = [b - a for a, b in zip(depths, depths[1:] + depths[:1])]
-    found = []
-    for (_, ux, uy, rows, _), (_, vx, vy, column, keys) in combinations(classes, 2):
-        # a segment starting at the other class's offset o0 meets that
-        # class's segment at offset o with the key (o - o0) * step, step = +-f
-        f = C // abs(ux * vy - uy * vx)
-        # each v-segment's u-offset interval and step, in the order of keys
-        spans = []
-        for _, k in column:
-            x, y, dx, dy = segs[k]
-            b0 = ux * y - uy * x
-            db = ux * dy - uy * dx
-            spans.append((b0, b0 + db, k, b0, f) if db > 0 else (b0 + db, b0, k, b0, -f))
-        for fixed, k1 in rows:
-            x, y, dx, dy = segs[k1]
-            a0 = vx * y - vy * x
-            da = vx * dy - vy * dx
-            lo1, hi1, step1 = (a0, a0 + da, f) if da > 0 else (a0 + da, a0, -f)
-            for j in range(bisect_left(keys, lo1), bisect_right(keys, hi1)):
-                lo, hi, k2, b0, step2 = spans[j]
-                if not lo <= fixed <= hi or (k1 - k2) % m in (1, m - 1):
-                    continue  # no meeting, or adjacent
-                if k1 < k2:
-                    s1, key1, s2, key2 = k1, (keys[j] - a0) * step1, k2, (fixed - b0) * step2
-                else:
-                    s1, key1, s2, key2 = k2, (fixed - b0) * step2, k1, (keys[j] - a0) * step1
-                _, _, pdx, pdy = segs[s1]
-                _, _, qdx, qdy = segs[s2]
-                K1, K2 = scales[s1], scales[s2]
-                # the two depths at the meeting point, both scaled by K1 * K2
-                here = (depths[s1] * K1 + key1 * rise[s1]) * K2
-                there = (depths[s2] * K2 + key2 * rise[s2]) * K1
-                sign = 1 if pdx * qdy > pdy * qdx else -1
-                found.append((s1, s2, key1, key2, sign, (here > there) - (here < there)))
-    found.sort()
-    return scales, found
-
-
 # ---------------------------------------------------------------------------
 # grid diagram of an arc presentation
 
@@ -277,80 +157,69 @@ def arc_to_planar(P: ArcPresentation) -> PlanarDiagram:
 
 
 # ---------------------------------------------------------------------------
-# exact generic projection of a lattice polygon
+# exact top view of a lattice polygon
 
 
 def project_polygon(poly: LatticePolygon) -> PlanarDiagram:
-    """Project along the first generic direction (1, B, B**2), B = M+2, M+3, ...
+    """The polygon seen from above, z up (_top_view).
 
-    M is the largest coordinate magnitude.  The polygon was validated when
-    it was made, so no check repeats here.  Genericity is decided in
-    exact integer arithmetic: distinct vertex images, then one
-    segment_crossings scan that rejects any contact at an edge's end, which
-    covers vertices on edges and collinear overlaps since consecutive sticks
-    never project to parallel edges, and last a triple point, seen as two
-    equal keys in one segment's sorted hits.  segment_crossings gives each
-    hit an exact integer key, its parameter times the segment's scale, and
-    the sign of the difference of the two depths along the projection
-    direction at the crossing (larger depth is nearer the viewer).
-
-    For B > M the direction is nearly the z axis, where the constructions
-    stack their pages.  `invariant` keeps this view, because the benchmark
-    digests pin its PD output.  certify looks nearly along y, a binding
-    axis, with fewer over-runs: it runs this code on the vertices cycled
-    to (z, x, y) (certify._output_diagram), a cyclic permutation because a
-    swap of two axes would mirror the diagram.
+    The polygon was validated when it was made, so no check repeats here.
+    The constructions put their pages on z, so this view stacks every
+    page's arc on every other's.  `invariant` keeps it, because the
+    benchmark digests pin its PD output.  certify looks along y, a binding
+    axis, with fewer over-runs: it passes the vertices cycled to (z, x, y)
+    (certify._output_diagram), a cyclic permutation because a swap of two
+    axes would mirror the diagram.
     """
-    return _project_vertices(poly.vertices())
+    return _top_view(poly.vertices())
 
 
-def _project_vertices(verts: list[tuple[int, int, int]]) -> PlanarDiagram:
-    """project_polygon on the corners of a valid polygon, in cyclic order."""
-    M = max(1, max(abs(c) for v in verts for c in v))
-    for B in range(M + 2, M + 2 + 64):
-        result = _try_projection(verts, B)
-        if result is not None:
-            return result
-    raise NoGenericDirectionError(f"no generic direction among B={M + 2}..{M + 65}")
+def _top_view(verts: list[tuple[int, int, int]]) -> PlanarDiagram:
+    """Diagram of a valid polygon, given by its corners in cyclic order, seen
+    along z tilted by an infinitesimal: the view along (1, B, B**2) for every
+    B above the range of z.
 
-
-def _try_projection(verts: list[tuple[int, int, int]], B: int) -> PlanarDiagram | None:
-    m = len(verts)
-    BB = B * B
-    pts = [(B * x - y, BB * x - z) for x, y, z in verts]
-    if len(set(pts)) != m:
-        return None
-
-    # transversal interior intersections, one per non-adjacent pair at most;
-    # the strand with the larger depth passes over.  Axis images x -> (B, B**2),
-    # y -> (-1, 0), z -> (0, -1) are pairwise non-parallel, so consecutive
-    # edge images never are; a vertex inside an edge s it does not bound thus
-    # has an edge neither parallel nor adjacent to s, reported here at t = 0
-    # or 1, and a collinear overlap puts a vertex inside an edge or repeats a
-    # vertex image.  Equal depths would be one 3-D point on two sticks.
-    hits: list[list[tuple[int, tuple[int, int], bool]]] = [[] for _ in range(m)]
-    points: set[tuple[int, int]] = set()  # (segment, key) of every hit
+    In the screen coordinates (x - z / B**2, y - z / B), an
+    orientation-preserving image of that view, two points lie apart by
+    their integer (x, y) offset up to less than one unit, so every strict
+    order of integers is kept and the ties are broken symbolically
+    (Edelsbrunner and Muecke, "Simulation of Simplicity", ACM Trans.
+    Graphics 9, 1990).  A z-stick's image is shorter than one unit
+    and meets another stick's only where the two share a corner; x-sticks
+    are parallel to each other, and so are y-sticks.  So only x-y pairs
+    cross.  For an x-stick at (y, z) = (yx, zx) from x0 to x1 and a y-stick
+    at (x, z) = (a, zy) from y0 to y1, with d = zx - zy, the meeting point
+    lies at x = a + d / B**2 and y = yx - d / B, exactly ordered as the
+    pairs (a, d) and (yx, -d).  The pair crosses iff (x0, 0) < (a, d) <
+    (x1, 0) and (y0, 0) < (yx, -d) < (y1, 0), and those pairs sort each
+    stick's hits.  A tie with d = 0 at an end of a stick is the corner of
+    two adjacent sticks, which do not cross; d = 0 inside both sticks would
+    be a point of space on both.  The depth along the view differs by a
+    positive multiple of d, so the higher stick is over, and the sign is
+    -sgn(dx) * sgn(dy) * sgn(d) for travel directions dx and dy: +1 when the
+    over direction is the under one turned counterclockwise.
+    """
+    xs, ys = [], []
+    for k, ((x, y, z), (u, v, _)) in enumerate(zip(verts, verts[1:] + verts[:1])):
+        if x != u:
+            xs.append((k, min(x, u), max(x, u), y, z, 1 if u > x else -1))
+        elif y != v:
+            ys.append((k, x, z, min(y, v), max(y, v), 1 if v > y else -1))
+    hits: list[list[tuple[tuple[int, int], tuple[int, int], bool]]] = [[] for _ in verts]
     signs: dict[tuple[int, int], int] = {}
-    scales, found = segment_crossings(pts, [x + B * y + BB * z for x, y, z in verts])
-    for s1, s2, key1, key2, sign, over in found:
-        if not (0 < key1 < scales[s1] and 0 < key2 < scales[s2]):
-            return None  # a vertex on another edge, or a collinear overlap
-        if not over:
-            raise InternalInvariantError("equal depths at a projected crossing")
-        pair = (s1, s2)
-        # positive when the over direction is the under one turned counterclockwise
-        signs[pair] = -sign * over
-        hits[s1].append((key1, pair, over > 0))
-        hits[s2].append((key2, pair, over < 0))
-        points.add((s1, key1))
-        points.add((s2, key2))
-
-    # a triple point shows as two equal keys on one segment: with no contact
-    # at an edge's end, three edges through one point are pairwise
-    # non-adjacent and non-parallel, so each meets the other two there
-    if len(points) < 2 * len(signs):
-        return None
-    # with distinct keys, a segment's hits sort by their keys alone
+    for i, x0, x1, yx, zx, dx in xs:
+        for j, a, zy, y0, y1, dy in ys:
+            if not (x0 <= a <= x1 and y0 <= yx <= y1):
+                continue
+            d = zx - zy
+            if not ((x0, 0) < (a, d) < (x1, 0) and (y0, 0) < (yx, -d) < (y1, 0)):
+                continue  # the tilt moves one image off the other's end
+            if not d:
+                raise InternalInvariantError("equal depths at a projected crossing")
+            pair = (i, j)
+            signs[pair] = -dx * dy if d > 0 else dx * dy
+            hits[i].append(((dx * a, dx * d), pair, d > 0))
+            hits[j].append(((dy * yx, -dy * d), pair, d < 0))
     events: list[tuple[object, bool]] = []
     for row in hits:
         row.sort()

@@ -12,15 +12,130 @@ vertex per polygon corner and one polyline record per stick.
 
 from __future__ import annotations
 
-from math import isqrt
+from bisect import bisect_left, bisect_right
+from itertools import combinations
+from math import gcd, isqrt, lcm
+from operator import itemgetter
 
-from .diagram import segment_crossings
 from .lattice import LatticePolygon
 
 # isometric axis images, scaled by 30 to stay integral:
 # x -> (30, 0), y -> (-26, 15), z -> (0, -30); view direction (26, 30, 15)
 _SCALE = 30
 _HALF_GAP = 9  # screen units of strand hidden on each side: 3/10 of a lattice unit
+
+
+def segment_crossings(
+    pts: list[tuple[int, int]], depths: list[int]
+) -> tuple[list[int], list[tuple[int, int, int, int, int, int]]]:
+    """Meeting points of non-adjacent segments of the closed polyline pts.
+
+    Segment k runs from pts[k] to pts[k+1 mod m], and its depth runs
+    linearly from depths[k] to depths[k+1 mod m].  Returns (scales, found):
+    one positive int per segment, and (s1, s2, k1, k2, sign, over), all
+    plain ints, for every pair s1 < s2 of non-parallel segments that meet,
+    in order of s1 then s2.  They meet at the parameters t1 = k1 / scales[s1]
+    along s1 and t2 = k2 / scales[s2] along s2, with 0 <= t1, t2 <= 1, so
+    the meeting point is an end of s exactly when k is 0 or scales[s]; no
+    rational is built.  sign is +1 when segment s2 crosses segment s1 from
+    right to left, else -1.  over is the sign of s1's depth minus s2's
+    depth at the meeting point, 0 when they are equal.  Parallel pairs are
+    skipped, and so is a zero-length segment, which is parallel to
+    everything.
+
+    Segments are grouped by primitive direction up to sign: segment s runs
+    along +-g_s * u, g_s > 0 the gcd of its direction and u its class.  The
+    offset cross(w, p) is constant along a w-segment, and for two classes u
+    and v the offsets (cross(u, p), cross(v, p)) are an invertible integer
+    map of the plane (its determinant is cross(u, v) != 0).  A u-segment
+    maps to a v-offset interval at one u-offset and a v-segment to a
+    u-offset interval at one v-offset, so the two closed segments meet
+    exactly when each one's fixed offset lies in the other's interval,
+    bounds included.  Each class is sorted by offset once; for each pair of
+    classes the sorted v-segments are bisected for each u-segment's
+    interval and the survivors' interval is checked.  With c classes this
+    costs O(c * m log m) plus one comparison per pair whose v-offset
+    matches, instead of m**2 / 2 pair tests; a lattice polygon's linear
+    views have c = 3.
+
+    scales[s] = g_s * C, with C the lcm of |cross(u, v)| over every pair of
+    classes present (1 with fewer than two); a zero-length segment gets C.
+    The keys need no division.  Along a u-segment s from p0 the v-offset
+    runs from o0 = cross(v, p0) to o0 +- g_s * cross(v, u), so it reaches a
+    v-segment's offset o at t = (o - o0) / (+-g_s * cross(v, u)), and the
+    key t * g_s * C is (o - o0) times the step +-C / |cross(u, v)|, an
+    integer since cross(u, v) divides C; the same holds with u and v
+    swapped.  So a segment's meeting points sort by their keys exactly, and
+    two are the same point exactly when their keys are equal.  The depths at
+    a meeting point, d_s + key * (d_s' - d_s) / scales[s] on each segment,
+    are compared times scales[s1] * scales[s2].
+
+    Which class of a pair is bisected sets how many pairs are compared.
+    A u-segment of direction g * u spans g * |cross(u, v)| in v-offset, so
+    if the v-segments' offsets were spread evenly over their span S_v, the
+    u-intervals would cover |cross(u, v)| * G_u * n_v / (S_v + 1) of them,
+    with n_v the v-class size and G_u the u-class length in units of u.
+    The cross is common to both choices, so each class gets the density
+    n / (G * (S + 1)) once, and of each pair the sparser class is bisected.
+    """
+    m = len(pts)
+    segs = [(x, y, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:] + pts[:1])]
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}  # class -> (segment, g)
+    for k, (_, _, dx, dy) in enumerate(segs):
+        g = gcd(dx, dy)
+        if g:
+            if dx < 0 or (dx == 0 and dy < 0):
+                groups.setdefault((-dx // g, -dy // g), []).append((k, g))
+            else:
+                groups.setdefault((dx // g, dy // g), []).append((k, g))
+    C = lcm(*(abs(ux * vy - uy * vx) for (ux, uy), (vx, vy) in combinations(groups, 2)))
+    scales = [C] * m
+    classes = []
+    for (wx, wy), group in groups.items():
+        for k, g in group:
+            scales[k] = g * C
+        offsets = sorted([(wx * segs[k][1] - wy * segs[k][0], k) for k, _ in group])
+        length = sum([g for _, g in group])
+        density = len(group) / (length * (offsets[-1][0] - offsets[0][0] + 1))
+        classes.append((density, wx, wy, offsets, [o for o, _ in offsets]))
+    # densest class first, so the later class of each pair is bisected
+    classes.sort(key=itemgetter(0), reverse=True)
+    rise = [b - a for a, b in zip(depths, depths[1:] + depths[:1])]
+    found = []
+    for (_, ux, uy, rows, _), (_, vx, vy, column, keys) in combinations(classes, 2):
+        # a segment starting at the other class's offset o0 meets that
+        # class's segment at offset o with the key (o - o0) * step, step = +-f
+        f = C // abs(ux * vy - uy * vx)
+        # each v-segment's u-offset interval and step, in the order of keys
+        spans = []
+        for _, k in column:
+            x, y, dx, dy = segs[k]
+            b0 = ux * y - uy * x
+            db = ux * dy - uy * dx
+            spans.append((b0, b0 + db, k, b0, f) if db > 0 else (b0 + db, b0, k, b0, -f))
+        for fixed, k1 in rows:
+            x, y, dx, dy = segs[k1]
+            a0 = vx * y - vy * x
+            da = vx * dy - vy * dx
+            lo1, hi1, step1 = (a0, a0 + da, f) if da > 0 else (a0 + da, a0, -f)
+            for j in range(bisect_left(keys, lo1), bisect_right(keys, hi1)):
+                lo, hi, k2, b0, step2 = spans[j]
+                if not lo <= fixed <= hi or (k1 - k2) % m in (1, m - 1):
+                    continue  # no meeting, or adjacent
+                if k1 < k2:
+                    s1, key1, s2, key2 = k1, (keys[j] - a0) * step1, k2, (fixed - b0) * step2
+                else:
+                    s1, key1, s2, key2 = k2, (fixed - b0) * step2, k1, (keys[j] - a0) * step1
+                _, _, pdx, pdy = segs[s1]
+                _, _, qdx, qdy = segs[s2]
+                K1, K2 = scales[s1], scales[s2]
+                # the two depths at the meeting point, both scaled by K1 * K2
+                here = (depths[s1] * K1 + key1 * rise[s1]) * K2
+                there = (depths[s2] * K2 + key2 * rise[s2]) * K1
+                sign = 1 if pdx * qdy > pdy * qdx else -1
+                found.append((s1, s2, key1, key2, sign, (here > there) - (here < there)))
+    found.sort()
+    return scales, found
 
 
 def _screen(p: tuple[int, int, int]) -> tuple[int, int]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import permutations
 
 import pytest
 
@@ -59,6 +60,22 @@ def random_star_presentation(a: int, rng: random.Random) -> lk.ArcPresentation:
     edges = star_chords(a)
     rng.shuffle(edges)
     return lk.ArcPresentation(tuple(edges))
+
+
+def arc_presentations(a: int):
+    """Every arc presentation with a arcs, one per class under page rotation.
+
+    The binding cycle is (1, *perm) with perm[0] < perm[-1], so each cycle
+    is listed in one direction; page 1 holds its first edge {1, perm[0]}
+    and pages 2..a every order of the other a - 1 edges.
+    """
+    for perm in permutations(range(2, a + 1)):
+        if perm[0] > perm[-1]:
+            continue
+        cycle = (1, *perm)
+        first, *rest = [tuple(sorted((cycle[k], cycle[(k + 1) % a]))) for k in range(a)]
+        for pages in permutations(rest):
+            yield lk.ArcPresentation((first, *pages))
 
 
 def certified_polygon(a: int) -> lk.LatticePolygon:

@@ -1,6 +1,7 @@
 """Pipeline orchestration, certificates, and bound checks."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,7 @@ import latticeknot.certify as certify_mod
 from latticeknot import LaurentPolynomial as LP
 from latticeknot import dataset
 
-from conftest import random_star_presentation, star_in_order
+from conftest import arc_presentations, random_star_presentation, star_in_order
 
 
 def scrambled_star(a):
@@ -69,6 +70,17 @@ class TestConstructAuto:
             _, cert = lk.construct_auto(lk.random_presentation(a, rng))
             assert cert.invariant_match.status == "matched"
             assert cert.stick_count == 3 * a - 4
+
+    def test_every_a5_presentation_is_certified(self):
+        """All 288 presentations with five arcs, up to page rotation: the stick
+        law and a matched Alexander polynomial on each."""
+        branches = Counter()
+        for P in arc_presentations(5):
+            _, cert = lk.construct_auto(P)
+            assert cert.invariant_match.status == "matched", P.arcs
+            assert cert.stick_count == (13 if cert.branch == "torus-star" else 11), P.arcs
+            branches[cert.branch] += 1
+        assert branches == {"nonstar": 264, "dual-nonstar": 22, "torus-star": 2}
 
     def test_arc_count_gate(self):
         with pytest.raises(lk.ArcCountOutOfRangeError):

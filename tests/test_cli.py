@@ -394,16 +394,6 @@ class TestInternalErrors:
         assert err.startswith("internal error: dual of a star-shaped")
         assert "Traceback" not in err
 
-    def test_no_generic_direction_exit_70(self, files, monkeypatch):
-        import latticeknot.diagram as diagram_mod
-
-        monkeypatch.setattr(diagram_mod, "_try_projection", lambda verts, B: None)
-        code, out, err = run(["certify", files["4_1"], "--c", "4"])
-        assert code == 70
-        assert out == ""
-        assert err.startswith("internal error: no generic direction among B=")
-        assert "Traceback" not in err
-
     def test_inexact_bareiss_division_exit_70(self, files, monkeypatch):
         import latticeknot.diagram as diagram_mod
 

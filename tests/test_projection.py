@@ -1,4 +1,4 @@
-"""Exact generic projection of lattice polygons to diagrams."""
+"""Exact top views of lattice polygons, and the segment kernel the SVG export uses."""
 
 import random
 from fractions import Fraction
@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import latticeknot as lk
 from latticeknot import LatticePolygon, LatticeStick
-from latticeknot.certify import build_branch
-from latticeknot.diagram import _assemble, _try_projection, segment_crossings
-from latticeknot.render import _depth, _screen
+from latticeknot.certify import _output_diagram, build_branch
+from latticeknot.diagram import _assemble, _top_view
+from latticeknot.errors import InternalInvariantError
+from latticeknot.render import _depth, _screen, segment_crossings
 
 from conftest import certified_polygon, faces
 
@@ -254,11 +255,12 @@ class TestProjectPolygon:
 
 
 def reference_try_projection(verts, B, fired):
-    """The three-pass genericity test that one crossing scan replaced.
+    """The Fraction projection along (1, B, B**2) with its three-pass genericity test.
 
-    Same checks in the same order as before the simplification; fired counts
-    the check that rejected B first ("images", "vertex_on_edge", "overlap"
-    or "scan").
+    It rejects B on distinct vertex images, a vertex inside another edge, a
+    collinear overlap, and then any contact at an edge's end or triple
+    point in the crossing scan; fired counts the check that rejected B
+    first ("images", "vertex_on_edge", "overlap" or "scan").
     """
     m = len(verts)
     pts = [(B * p[0] - p[1], B * B * p[0] - p[2]) for p in verts]
@@ -329,44 +331,41 @@ def reference_try_projection(verts, B, fired):
     return _assemble(events, signs)
 
 
-def test_one_scan_decides_like_the_three_pass_reference():
-    """The reference's verdict and diagram for every B from 1 to M+5 at a = 5..12,
-    and for B = M+2..M+4 on certified polygons at a = 48, 56 and 64."""
-    rng = random.Random(5005)
+def reference_top_view(verts):
+    """reference_try_projection at B = W + 1, W the largest range of one
+    coordinate: above W the view is the top view tilted by an infinitesimal,
+    and no genericity check may reject it."""
+    W = max(max(c) - min(c) for c in zip(*verts))
     fired = dict.fromkeys(("images", "vertex_on_edge", "overlap", "scan"), 0)
-    cases = []
+    D = reference_try_projection(verts, W + 1, fired)
+    assert not any(fired.values()), fired
+    return D
+
+
+def test_one_scan_decides_like_the_three_pass_reference():
+    """project_polygon, and certify's view cycled to (z, x, y), equal the
+    Fraction reference at B = W + 1 on constructions at a = 5..12 and on
+    certified polygons at a = 48, 56 and 64."""
+    rng = random.Random(5005)
+    polys = []
     for a in range(5, 13):
         P = lk.random_presentation(a, rng)
-        basic = lk.construct_basic(P)
-        for poly in (basic, lk.reduce_ends(P), build_branch(P, "auto")[1]):
-            verts = poly.vertices()
-            M = max(abs(c) for v in verts for c in v)
-            cases += [(verts, B) for B in range(1, M + 6)]
-    for a in (48, 56, 64):
-        verts = certified_polygon(a).vertices()
-        M = max(abs(c) for v in verts for c in v)
-        cases += [(verts, B) for B in range(M + 2, M + 5)]
-    for verts, B in cases:
-        assert _try_projection(verts, B) == reference_try_projection(verts, B, fired)
-    assert fired["vertex_on_edge"] > 0
-    assert sum(fired.values()) < len(cases)  # some directions are generic
+        polys += [lk.construct_basic(P), lk.reduce_ends(P), build_branch(P, "auto")[1]]
+    polys += [certified_polygon(a) for a in (48, 56, 64)]
+    crossings = 0
+    for poly in polys:
+        verts = poly.vertices()
+        D = lk.project_polygon(poly)
+        assert D == reference_top_view(verts)
+        assert _output_diagram(poly) == reference_top_view([(z, x, y) for x, y, z in verts])
+        crossings += D.n
+    assert crossings > 1000
 
 
-def test_triple_point_alone_rejects_a_direction():
-    """A triple point with no contact at an edge's end: only its own check can reject B."""
-    P = lk.validate([[6, 7], [1, 4], [1, 3], [4, 5], [2, 3], [2, 7], [5, 6]])
-    verts = lk.reduce_ends(P).vertices()
-    B = 2
-    pts = [(B * x - y, B * B * x - z) for x, y, z in verts]
-    assert len(set(pts)) == len(pts)
-    scales, crossings = segment_crossings(pts, [x + B * y + B * B * z for x, y, z in verts])
-    # every crossing interior to both edges, at distinct depths
-    assert crossings and all(
-        0 < k1 < scales[s1] and 0 < k2 < scales[s2] and over
-        for s1, s2, k1, k2, _, over in crossings
-    )
-    assert _try_projection(verts, B) is None
-    # with every contact interior, the reference's scan can only fire on its triple point
-    fired = dict.fromkeys(("images", "vertex_on_edge", "overlap", "scan"), 0)
-    assert reference_try_projection(verts, B, fired) is None
-    assert fired == {"images": 0, "vertex_on_edge": 0, "overlap": 0, "scan": 1}
+def test_top_view_refuses_a_point_on_two_sticks():
+    """Equal heights strictly inside both sticks are one point of space on
+    two sticks, which a valid polygon cannot have: a bug, not a crossing."""
+    # sticks 0 and 3 meet at (1, 1, 0); the tie rules alone see a crossing
+    verts = [(0, 1, 0), (2, 1, 0), (2, 2, 0), (1, 2, 0), (1, 0, 0), (0, 0, 0)]
+    with pytest.raises(InternalInvariantError, match="equal depths"):
+        _top_view(verts)

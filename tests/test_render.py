@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 import latticeknot as lk
 from latticeknot import LatticePolygon, LatticeStick, jsonio
 from latticeknot.certify import build_branch
-from latticeknot.diagram import _try_projection
 from latticeknot.render import _SCALE, _depth, _screen, render_svg
 
 from conftest import certified_polygon
-from test_projection import reference_segment_crossings, reference_try_projection
+from test_projection import reference_segment_crossings, reference_top_view
 
 _GAP = Fraction(3, 10)  # lattice units of strand hidden on each side
 
@@ -112,18 +111,8 @@ def test_big_coordinates_draw_like_the_reference():
     assert svg.count("<line") > len(poly.sticks)
 
 
-@st.composite
-def placed_constructions(draw):
-    """A construction at a = 5..14, scaled by s and translated, every coordinate within MAX_COORD."""
-    a = draw(st.integers(5, 14))
-    P = lk.random_presentation(a, random.Random(draw(st.integers(0, 2**32))))
-    branch = draw(st.sampled_from(["basic", "reduced", "auto"]))
-    poly = build_branch(P, branch)[1]
-    # the constructions use coordinates 1..a; the extremes put a coordinate at +-MAX_COORD
-    top = jsonio.MAX_COORD // a
-    scale = draw(st.integers(1, top) | st.just(top))
-    lo, hi = -jsonio.MAX_COORD - scale, jsonio.MAX_COORD - a * scale
-    shift = [draw(st.integers(lo, hi) | st.sampled_from([lo, hi])) for _ in range(3)]
+def placed(poly, scale, shift):
+    """poly scaled by scale > 0, then translated by shift = (tx, ty, tz)."""
     sticks = []
     for s in poly.sticks:
         axis = "xyz".index(s.axis)
@@ -135,12 +124,27 @@ def placed_constructions(draw):
     return LatticePolygon(tuple(sticks))
 
 
+@st.composite
+def placed_constructions(draw):
+    """A construction at a = 5..14, scaled by s and translated, every coordinate within MAX_COORD."""
+    a = draw(st.integers(5, 14))
+    P = lk.random_presentation(a, random.Random(draw(st.integers(0, 2**32))))
+    branch = draw(st.sampled_from(["basic", "reduced", "auto"]))
+    poly = build_branch(P, branch)[1]
+    # the constructions use coordinates 1..a; the extremes put a coordinate at +-MAX_COORD
+    top = jsonio.MAX_COORD // a
+    scale = draw(st.integers(1, top) | st.just(top))
+    lo, hi = -jsonio.MAX_COORD - scale, jsonio.MAX_COORD - a * scale
+    return placed(poly, scale, [draw(st.integers(lo, hi) | st.sampled_from([lo, hi])) for _ in range(3)])
+
+
 @settings(max_examples=100, deadline=None)
 @given(placed_constructions())
 def test_placed_constructions_draw_and_project_like_the_references(poly):
     verts = poly.vertices()
-    M = max(abs(c) for v in verts for c in v)
-    assert M <= jsonio.MAX_COORD
+    assert max(abs(c) for v in verts for c in v) <= jsonio.MAX_COORD
     assert render_svg(poly) == reference_render_svg(poly)
-    fired = dict.fromkeys(("images", "vertex_on_edge", "overlap", "scan"), 0)
-    assert _try_projection(verts, M + 2) == reference_try_projection(verts, M + 2, fired)
+    D = lk.project_polygon(poly)
+    assert D == reference_top_view(verts)
+    # the top view is translation-invariant: moved to the first octant, the same diagram
+    assert lk.project_polygon(placed(poly, 1, [-min(c) for c in zip(*verts)])) == D
