@@ -99,10 +99,10 @@ class PlanarDiagram:
 # assembling diagrams from traversal events
 
 
-def _assemble(events: list[tuple[object, bool]], signs: dict) -> PlanarDiagram:
+def _assemble(events: list[tuple[object, bool]], signs: dict | list[int]) -> PlanarDiagram:
     """Build a diagram from traversal events (key, passes_over) and crossing signs.
 
-    signs maps each key to its crossing's sign.  Crossings are numbered in
+    signs[key] is the key's crossing's sign.  Crossings are numbered in
     order of first passage; the diagram itself checks that every key is
     passed once over and once under.
     """
@@ -198,6 +198,13 @@ def _top_view(verts: list[tuple[int, int, int]]) -> PlanarDiagram:
     positive multiple of d, so the higher stick is over, and the sign is
     -sgn(dx) * sgn(dy) * sgn(d) for travel directions dx and dy: +1 when the
     over direction is the under one turned counterclockwise.
+
+    Each crossing gets an int id as it is found, the index of its sign in
+    signs.  A stick's hits sort by the plain ints (dx * a, dx * d) on an
+    x-stick and (dy * yx, -dy * d) on a y-stick, then the id: two hits on
+    one stick at the same place would put one point of space on two
+    sticks of the other axis, so the id never decides.  _assemble
+    renumbers the crossings by first passage.
     """
     xs, ys = [], []
     for k, ((x, y, z), (u, v, _)) in enumerate(zip(verts, verts[1:] + verts[:1])):
@@ -205,9 +212,10 @@ def _top_view(verts: list[tuple[int, int, int]]) -> PlanarDiagram:
             xs.append((k, min(x, u), max(x, u), y, z, 1 if u > x else -1))
         elif y != v:
             ys.append((k, x, z, min(y, v), max(y, v), 1 if v > y else -1))
-    hits: list[list[tuple[tuple[int, int], tuple[int, int], bool]]] = [[] for _ in verts]
-    signs: dict[tuple[int, int], int] = {}
+    hits: list[list[tuple[int, int, int, bool]]] = [[] for _ in verts]
+    signs: list[int] = []
     for i, x0, x1, yx, zx, dx in xs:
+        row = hits[i]
         for j, a, zy, y0, y1, dy in ys:
             if not (x0 <= a <= x1 and y0 <= yx <= y1):
                 continue
@@ -216,14 +224,14 @@ def _top_view(verts: list[tuple[int, int, int]]) -> PlanarDiagram:
                 continue  # the tilt moves one image off the other's end
             if not d:
                 raise InternalInvariantError("equal depths at a projected crossing")
-            pair = (i, j)
-            signs[pair] = -dx * dy if d > 0 else dx * dy
-            hits[i].append(((dx * a, dx * d), pair, d > 0))
-            hits[j].append(((dy * yx, -dy * d), pair, d < 0))
+            c = len(signs)
+            signs.append(-dx * dy if d > 0 else dx * dy)
+            row.append((dx * a, dx * d, c, d > 0))
+            hits[j].append((dy * yx, -dy * d, c, d < 0))
     events: list[tuple[object, bool]] = []
     for row in hits:
         row.sort()
-        events += [(pair, over) for _, pair, over in row]
+        events += [(c, over) for _, _, c, over in row]
     return _assemble(events, signs)
 
 

@@ -46,24 +46,6 @@ class LatticeStick:
         if self.lo >= self.hi:
             raise ValueError(f"stick needs lo < hi, got {self.lo}..{self.hi}")
 
-    def point_at(self, value: int) -> Point:
-        if self.axis == "x":
-            return (value, self.c1, self.c2)
-        if self.axis == "y":
-            return (self.c1, value, self.c2)
-        return (self.c1, self.c2, value)
-
-    def endpoints(self) -> tuple[Point, Point]:
-        return (self.point_at(self.lo), self.point_at(self.hi))
-
-    def ranges(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-        """Closed integer range of the stick in each of x, y, z."""
-        if self.axis == "x":
-            return ((self.lo, self.hi), (self.c1, self.c1), (self.c2, self.c2))
-        if self.axis == "y":
-            return ((self.c1, self.c1), (self.lo, self.hi), (self.c2, self.c2))
-        return ((self.c1, self.c1), (self.c2, self.c2), (self.lo, self.hi))
-
     def to_json_obj(self) -> dict:
         n1, n2 = FIXED_COORDS[self.axis]
         return {
@@ -93,7 +75,15 @@ class LatticePolygon:
 
         Derived once, for validation's corner check and for vertices().
         """
-        ends = [set(s.endpoints()) for s in self.sticks]
+        ends = []
+        for s in self.sticks:
+            axis, lo, hi, c1, c2 = s.axis, s.lo, s.hi, s.c1, s.c2
+            if axis == "x":
+                ends.append({(lo, c1, c2), (hi, c1, c2)})
+            elif axis == "y":
+                ends.append({(c1, lo, c2), (c1, hi, c2)})
+            else:
+                ends.append({(c1, c2, lo), (c1, c2, hi)})
         return tuple([tuple(ends[k - 1] & e) for k, e in enumerate(ends)])
 
     def vertices(self) -> list[Point]:
@@ -127,84 +117,77 @@ def stick_count(poly: LatticePolygon) -> int:
     return len(poly.sticks)
 
 
-def _overlap_points(box1: tuple, box2: tuple) -> int:
-    """Number of lattice points in both of two ranges() boxes (exact, O(1))."""
-    total = 1
-    for (lo1, hi1), (lo2, hi2) in zip(box1, box2):
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if lo > hi:
-            return 0
-        total *= hi - lo + 1
-    return total
-
-
 def validate_polygon(poly: LatticePolygon) -> list[Violation]:
     """Check every polygon invariant; an empty list means the polygon is valid.
 
     LatticePolygon runs it once, at construction, and raises
-    SelfIntersectionError on a non-empty list.  Two passes.  Consecutive
-    sticks must lie on different axes and share exactly one endpoint; the
-    polygon's joint list holds the shared endpoints, and for a valid
-    polygon its one entry per stick is the corner vertices() reads.  For
-    perpendicular sticks sharing one endpoint is the same as
-    meeting in one point that ends both.  Non-adjacent sticks must share
-    no lattice point; only pairs in a common coordinate plane are compared,
-    so the cost is quadratic only in the largest number of sticks that
-    share one plane.  A stick that meets both neighbours at one point p
-    needs no check of its own: its two neighbours both contain p and, for
-    m >= 4, are not adjacent, so the second pass reports them as an overlap.
+    SelfIntersectionError on a non-empty list.  Consecutive sticks must
+    lie on different axes and share exactly one endpoint; the polygon's
+    joint list holds the shared endpoints, and for a valid polygon its one
+    entry per stick is the corner vertices() reads.  For perpendicular
+    sticks sharing one endpoint is the same as meeting in one point that
+    ends both.  These checks format no message unless a joint is bad.
+    Non-adjacent sticks must share no lattice point.  Sticks that share a
+    point share a plane: perpendicular ones the plane of the third
+    coordinate, parallel ones both planes of their axis.  One pass files
+    each stick under its two planes with its box in the plane's other two
+    coordinates, and only pairs in a common plane are box-tested, so the
+    cost is quadratic only in the largest number of sticks in one plane.
+    A stick that meets both neighbours at one point p needs no check of
+    its own: its two neighbours both contain p and, for m >= 4, are not
+    adjacent, so they are reported as an overlap.  The consecutive
+    violations come first, in stick order, then the overlaps by pair.
     """
     sticks = poly.sticks
     m = len(sticks)
-    violations: list[Violation] = []
     if m < 4:
-        violations.append(Violation("too_few_sticks", tuple(range(m)), f"{m} sticks cannot close"))
-        return violations
+        return [Violation("too_few_sticks", tuple(range(m)), f"{m} sticks cannot close")]
 
-    joints = poly._joints
-    for k in range(m):
-        s, t = sticks[k], sticks[(k + 1) % m]
-        if s.axis == t.axis:
-            violations.append(
-                Violation("axis_repeat", (k, (k + 1) % m), f"consecutive sticks both on {s.axis}")
-            )
-        common = len(joints[(k + 1) % m])
-        if common != 1:
-            violations.append(
-                Violation(
-                    "corner",
-                    (k, (k + 1) % m),
-                    f"consecutive sticks share {common} endpoints, expected exactly 1",
-                )
-            )
-
-    # sticks that share a point share a plane: perpendicular ones the plane
-    # of the third coordinate, parallel ones both planes of their axis
-    planes: dict[tuple[str, int], list[int]] = {}
+    # plane (fixed coordinate, value) -> (stick, box lo, hi in the plane's
+    # first other coordinate, then lo, hi in its second)
+    planes: dict[tuple[int, int], list[tuple[int, int, int, int, int]]] = {}
+    repeat, last = False, sticks[-1].axis
     for k, s in enumerate(sticks):
-        n1, n2 = FIXED_COORDS[s.axis]
-        planes.setdefault((n1, s.c1), []).append(k)
-        planes.setdefault((n2, s.c2), []).append(k)
-    pairs = {
-        (i, j)
-        for ks in planes.values()
-        for x, i in enumerate(ks)
-        for j in ks[x + 1:]
-        if j > i + 1 and (i, j) != (0, m - 1)
-    }
-    boxes = [s.ranges() for s in sticks]
-    for i, j in sorted(pairs):
-        common = _overlap_points(boxes[i], boxes[j])
-        if common:
-            violations.append(
-                Violation("overlap", (i, j), f"non-adjacent sticks share {common} points")
-            )
+        axis, lo, hi, c1, c2 = s.axis, s.lo, s.hi, s.c1, s.c2
+        repeat = repeat or axis == last
+        last = axis
+        if axis == "x":
+            planes.setdefault((1, c1), []).append((k, lo, hi, c2, c2))
+            planes.setdefault((2, c2), []).append((k, lo, hi, c1, c1))
+        elif axis == "y":
+            planes.setdefault((0, c1), []).append((k, lo, hi, c2, c2))
+            planes.setdefault((2, c2), []).append((k, c1, c1, lo, hi))
+        else:
+            planes.setdefault((0, c1), []).append((k, c2, c2, lo, hi))
+            planes.setdefault((1, c2), []).append((k, c1, c1, lo, hi))
+
+    violations: list[Violation] = []
+    joints = poly._joints
+    if repeat or {*map(len, joints)} != {1}:
+        for k in range(m):
+            pair, axis = (k, (k + 1) % m), sticks[k].axis
+            if axis == sticks[pair[1]].axis:
+                text = f"consecutive sticks both on {axis}"
+                violations.append(Violation("axis_repeat", pair, text))
+            common = len(joints[pair[1]])
+            if common != 1:
+                text = f"consecutive sticks share {common} endpoints, expected exactly 1"
+                violations.append(Violation("corner", pair, text))
+
+    # a pair in two common planes, two parallel sticks on one line, is found twice
+    overlaps: dict[tuple[int, int], int] = {}
+    for bucket in planes.values():
+        for n, (i, alo, ahi, blo, bhi) in enumerate(bucket):
+            for j, clo, chi, dlo, dhi in bucket[n + 1:]:
+                if alo <= chi and clo <= ahi and blo <= dhi and dlo <= bhi and 1 < j - i < m - 1:
+                    overlaps[i, j] = (
+                        (min(ahi, chi) - max(alo, clo) + 1) * (min(bhi, dhi) - max(blo, dlo) + 1)
+                    )
+    for pair in sorted(overlaps):
+        violations.append(
+            Violation("overlap", pair, f"non-adjacent sticks share {overlaps[pair]} points")
+        )
     return violations
-
-
-def _step(p: Point, q: Point) -> list[int]:
-    """Sign of q - p in each coordinate."""
-    return [(v > u) - (v < u) for u, v in zip(p, q)]
 
 
 def _polygon(cycle: list[Point]) -> LatticePolygon:
@@ -213,30 +196,42 @@ def _polygon(cycle: list[Point]) -> LatticePolygon:
     Repeated points and straight-through corners are dropped.  A reversal,
     where the path turns back along its own axis, is kept, so validation
     still rejects a fold.  The sticks start at the one with the least
-    (axis, c1, c2, lo) and run so that this stick goes from lo to hi.
+    (axis, c1, c2, lo), the first such on a tie, and run so that this
+    stick goes from lo to hi.
     """
     pts = [p for k, p in enumerate(cycle) if p != cycle[k - 1]]
-    steps = [_step(p, q) for p, q in zip(pts, pts[1:] + pts[:1])]
+    # the sign of q - p in each coordinate
+    steps = [
+        ((u > x) - (u < x), (v > y) - (v < y), (w > z) - (w < z))
+        for (x, y, z), (u, v, w) in zip(pts, pts[1:] + pts[:1])
+    ]
     pts = [p for k, p in enumerate(pts) if steps[k - 1] != steps[k]]
     if len(pts) < 2:
         raise InternalInvariantError("corner cycle collapses to a point")
 
-    sticks = []
-    for p, q in zip(pts, pts[1:] + pts[:1]):
-        axes = [d for d in range(3) if p[d] != q[d]]
-        if len(axes) != 1:
-            raise InternalInvariantError(f"corners {p} and {q} are not joined by one stick")
-        d = axes[0]
-        c1, c2 = (p[e] for e in range(3) if e != d)
-        sticks.append(LatticeStick("xyz"[d], min(p[d], q[d]), max(p[d], q[d]), c1, c2))
+    # per stick (axis, c1, c2, lo, index, hi, whether it runs lo -> hi)
+    rows = []
+    for k, ((x, y, z), (u, v, w)) in enumerate(zip(pts, pts[1:] + pts[:1])):
+        if x != u and y == v and z == w:
+            rows.append(("x", y, z, min(x, u), k, max(x, u), x < u))
+        elif y != v and x == u and z == w:
+            rows.append(("y", x, z, min(y, v), k, max(y, v), y < v))
+        elif z != w and x == u and y == v:
+            rows.append(("z", x, y, min(z, w), k, max(z, w), z < w))
+        else:
+            raise InternalInvariantError(
+                f"corners {(x, y, z)} and {(u, v, w)} are not joined by one stick"
+            )
 
-    m = len(sticks)
-    start = min(range(m), key=lambda k: (sticks[k].axis, sticks[k].c1, sticks[k].c2, sticks[k].lo))
-    step = 1 if pts[start] == sticks[start].endpoints()[0] else -1
+    m = len(rows)
+    start = min(rows)[4]
+    step = 1 if rows[start][6] else -1
+    order = [rows[(start + step * t) % m] for t in range(m)]
     # tuples from lists, not generators, on the certify path: tuple() of a
     # generator grows its result by resizing, and each resized tuple is later
     # parked on the free list of its final size until a full gc collection
-    return LatticePolygon(tuple([sticks[(start + step * t) % m] for t in range(m)]))
+    sticks = [LatticeStick(axis, lo, hi, c1, c2) for axis, c1, c2, lo, _, hi, _ in order]
+    return LatticePolygon(tuple(sticks))
 
 
 def _checked(cycle: list[Point], sticks: int) -> LatticePolygon:

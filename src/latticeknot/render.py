@@ -2,12 +2,14 @@
 
 The SVG view is a fixed isometric projection with integer axis images,
 so hidden-line decisions (which strand gets the gap at a crossing) are
-made exactly in integers.  segment_crossings gives each crossing
-parameter as an exact integer key over its segment's scale K, so every cut
-bound of a segment is an integer over one denominator q * K, and a drawn
-endpoint becomes a float only through one correctly rounded int division,
-the rounding float() of the same rational gives.  The OBJ export writes one
-vertex per polygon corner and one polyline record per stick.
+made exactly in integers.  segment_crossings returns only what the
+drawing reads: per segment, the centres of the gaps cut where it passes
+under another, each an exact integer key over the segment's scale K.  So
+every cut bound of a segment is an integer over one denominator q * K,
+and a drawn endpoint becomes a float only through one correctly rounded
+int division, the rounding float() of the same rational gives.  The OBJ
+export writes one vertex per polygon corner and one polyline record per
+stick.
 """
 
 from __future__ import annotations
@@ -27,21 +29,21 @@ _HALF_GAP = 9  # screen units of strand hidden on each side: 3/10 of a lattice u
 
 def segment_crossings(
     pts: list[tuple[int, int]], depths: list[int]
-) -> tuple[list[int], list[tuple[int, int, int, int, int, int]]]:
-    """Meeting points of non-adjacent segments of the closed polyline pts.
+) -> tuple[list[int], list[list[int]]]:
+    """Gap centres of the closed polyline pts, with depths along it.
 
     Segment k runs from pts[k] to pts[k+1 mod m], and its depth runs
-    linearly from depths[k] to depths[k+1 mod m].  Returns (scales, found):
-    one positive int per segment, and (s1, s2, k1, k2, sign, over), all
-    plain ints, for every pair s1 < s2 of non-parallel segments that meet,
-    in order of s1 then s2.  They meet at the parameters t1 = k1 / scales[s1]
-    along s1 and t2 = k2 / scales[s2] along s2, with 0 <= t1, t2 <= 1, so
-    the meeting point is an end of s exactly when k is 0 or scales[s]; no
-    rational is built.  sign is +1 when segment s2 crosses segment s1 from
-    right to left, else -1.  over is the sign of s1's depth minus s2's
-    depth at the meeting point, 0 when they are equal.  Parallel pairs are
-    skipped, and so is a zero-length segment, which is parallel to
-    everything.
+    linearly from depths[k] to depths[k+1 mod m].  Returns (scales,
+    centres): one positive int per segment, and for each segment the keys
+    of the crossings it passes under, in no particular order.  A crossing
+    is a meeting of two non-parallel segments inside both, and it is at
+    the parameter t = key / scales[s] along the segment s that passes
+    under; no rational is built.  The under segment is the one with the
+    smaller depth there, and on a tie the lower-numbered one.  A meeting at
+    an end of either segment is a contact, not a crossing, and gets no
+    centre; so adjacent segments, which meet only at their shared vertex,
+    get none.  Parallel pairs are skipped, and so is a zero-length segment,
+    which is parallel to everything.
 
     Segments are grouped by primitive direction up to sign: segment s runs
     along +-g_s * u, g_s > 0 the gcd of its direction and u its class.  The
@@ -49,14 +51,14 @@ def segment_crossings(
     and v the offsets (cross(u, p), cross(v, p)) are an invertible integer
     map of the plane (its determinant is cross(u, v) != 0).  A u-segment
     maps to a v-offset interval at one u-offset and a v-segment to a
-    u-offset interval at one v-offset, so the two closed segments meet
-    exactly when each one's fixed offset lies in the other's interval,
-    bounds included.  Each class is sorted by offset once; for each pair of
-    classes the sorted v-segments are bisected for each u-segment's
-    interval and the survivors' interval is checked.  With c classes this
-    costs O(c * m log m) plus one comparison per pair whose v-offset
-    matches, instead of m**2 / 2 pair tests; a lattice polygon's linear
-    views have c = 3.
+    u-offset interval at one v-offset, so the two segments cross exactly
+    when each one's fixed offset lies strictly inside the other's interval.
+    Each class is sorted by offset once; for each pair of classes the
+    sorted v-segments are bisected for each u-segment's open interval and
+    the survivors' interval is checked.  With c classes this costs
+    O(c * m log m) plus one comparison per pair whose v-offset matches,
+    instead of m**2 / 2 pair tests; a lattice polygon's linear views have
+    c = 3.
 
     scales[s] = g_s * C, with C the lcm of |cross(u, v)| over every pair of
     classes present (1 with fewer than two); a zero-length segment gets C.
@@ -65,10 +67,10 @@ def segment_crossings(
     v-segment's offset o at t = (o - o0) / (+-g_s * cross(v, u)), and the
     key t * g_s * C is (o - o0) times the step +-C / |cross(u, v)|, an
     integer since cross(u, v) divides C; the same holds with u and v
-    swapped.  So a segment's meeting points sort by their keys exactly, and
-    two are the same point exactly when their keys are equal.  The depths at
-    a meeting point, d_s + key * (d_s' - d_s) / scales[s] on each segment,
-    are compared times scales[s1] * scales[s2].
+    swapped.  So a segment's crossings sort by their keys exactly, and two
+    are the same point exactly when their keys are equal.  The depths at a
+    crossing, d_s + key * (d_s' - d_s) / scales[s] on each segment, are
+    compared times the product of the two scales.
 
     Which class of a pair is bisected sets how many pairs are compared.
     A u-segment of direction g * u spans g * |cross(u, v)| in v-offset, so
@@ -101,7 +103,7 @@ def segment_crossings(
     # densest class first, so the later class of each pair is bisected
     classes.sort(key=itemgetter(0), reverse=True)
     rise = [b - a for a, b in zip(depths, depths[1:] + depths[:1])]
-    found = []
+    centres: list[list[int]] = [[] for _ in range(m)]
     for (_, ux, uy, rows, _), (_, vx, vy, column, keys) in combinations(classes, 2):
         # a segment starting at the other class's offset o0 meets that
         # class's segment at offset o with the key (o - o0) * step, step = +-f
@@ -118,24 +120,20 @@ def segment_crossings(
             a0 = vx * y - vy * x
             da = vx * dy - vy * dx
             lo1, hi1, step1 = (a0, a0 + da, f) if da > 0 else (a0 + da, a0, -f)
-            for j in range(bisect_left(keys, lo1), bisect_right(keys, hi1)):
+            K1, d1, r1 = scales[k1], depths[k1], rise[k1]
+            for j in range(bisect_right(keys, lo1), bisect_left(keys, hi1)):
                 lo, hi, k2, b0, step2 = spans[j]
-                if not lo <= fixed <= hi or (k1 - k2) % m in (1, m - 1):
-                    continue  # no meeting, or adjacent
-                if k1 < k2:
-                    s1, key1, s2, key2 = k1, (keys[j] - a0) * step1, k2, (fixed - b0) * step2
-                else:
-                    s1, key1, s2, key2 = k2, (fixed - b0) * step2, k1, (keys[j] - a0) * step1
-                _, _, pdx, pdy = segs[s1]
-                _, _, qdx, qdy = segs[s2]
-                K1, K2 = scales[s1], scales[s2]
-                # the two depths at the meeting point, both scaled by K1 * K2
-                here = (depths[s1] * K1 + key1 * rise[s1]) * K2
-                there = (depths[s2] * K2 + key2 * rise[s2]) * K1
-                sign = 1 if pdx * qdy > pdy * qdx else -1
-                found.append((s1, s2, key1, key2, sign, (here > there) - (here < there)))
-    found.sort()
-    return scales, found
+                if lo < fixed < hi:
+                    key1, key2 = (keys[j] - a0) * step1, (fixed - b0) * step2
+                    K2 = scales[k2]
+                    # the two depths at the crossing, both scaled by K1 * K2
+                    here = (d1 * K1 + key1 * r1) * K2
+                    there = (depths[k2] * K2 + key2 * rise[k2]) * K1
+                    if here > there or (here == there and k2 < k1):
+                        centres[k2].append(key2)
+                    else:
+                        centres[k1].append(key1)
+    return scales, centres
 
 
 def _screen(p: tuple[int, int, int]) -> tuple[int, int]:
@@ -151,20 +149,12 @@ def _depth(p: tuple[int, int, int]) -> int:
 def render_svg(poly: LatticePolygon) -> str:
     """Isometric drawing with gaps cut into the strand passing behind."""
     verts = poly.vertices()
-    m = len(verts)
     pts = [_screen(v) for v in verts]
-    scales, found = segment_crossings(pts, [_depth(v) for v in verts])
-
     # under-passage centres, each its parameter times the segment's scale.
-    # Touching strands need no gap.  Depths are never equal at a crossing:
-    # the screen-and-depth map has determinant 54030, so equal depths would
-    # mean one 3-D point on two non-adjacent sticks, which a polygon, valid
-    # by construction, does not have
-    centres: list[list[int]] = [[] for _ in range(m)]
-    for s1, s2, k1, k2, _, over in found:
-        if 0 < k1 < scales[s1] and 0 < k2 < scales[s2]:
-            s, c = (s2, k2) if over > 0 else (s1, k1)
-            centres[s].append(c)
+    # Depths are never equal at a crossing: the screen-and-depth map has
+    # determinant 54030, so equal depths would mean one 3-D point on two
+    # non-adjacent sticks, which a polygon, valid by construction, does not have
+    scales, centres = segment_crossings(pts, [_depth(v) for v in verts])
 
     lines = []
     for k, ((x1, y1), (x2, y2)) in enumerate(zip(pts, pts[1:] + pts[:1])):

@@ -1,12 +1,17 @@
 """Shared fixtures and test oracles: reference presentations, the seeded
-random suite, and helpers that only the tests use (faces, mirror, exact
-division, the lift sweep, random star presentations)."""
+random suite, helpers that only the tests use (faces, mirror, exact
+division, the lift sweep, random star presentations, a stick's points),
+and the per-stick forms of the polygon normaliser, the validator and the
+SVG crossing kernel that the flat passes in src/ replaced."""
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
+from math import gcd, lcm
+from operator import itemgetter
 
 import pytest
 
@@ -14,7 +19,7 @@ import latticeknot as lk
 from latticeknot import LaurentPolynomial
 from latticeknot.certify import build_branch
 from latticeknot.errors import InternalInvariantError
-from latticeknot.lattice import _nonstar_cycle, _polygon
+from latticeknot.lattice import FIXED_COORDS, LatticeStick, Violation, _nonstar_cycle, _polygon
 
 SUITE_SEED = 20260809
 SUITE_SIZE = 200
@@ -204,3 +209,174 @@ def random_suite() -> list[SuiteItem]:
         poly, cert = lk.construct_auto(P)
         items.append(SuiteItem(P, poly, cert))
     return items
+
+
+# ---------------------------------------------------------------------------
+# a stick's points, and the per-stick kernels the flat passes replaced
+
+
+def stick_point_at(s: LatticeStick, value: int) -> tuple[int, int, int]:
+    """The point of s's line whose varying coordinate is value."""
+    if s.axis == "x":
+        return (value, s.c1, s.c2)
+    if s.axis == "y":
+        return (s.c1, value, s.c2)
+    return (s.c1, s.c2, value)
+
+
+def stick_endpoints(s: LatticeStick) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    return (stick_point_at(s, s.lo), stick_point_at(s, s.hi))
+
+
+def stick_ranges(s: LatticeStick) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """Closed integer range of the stick in each of x, y, z."""
+    if s.axis == "x":
+        return ((s.lo, s.hi), (s.c1, s.c1), (s.c2, s.c2))
+    if s.axis == "y":
+        return ((s.c1, s.c1), (s.lo, s.hi), (s.c2, s.c2))
+    return ((s.c1, s.c1), (s.c2, s.c2), (s.lo, s.hi))
+
+
+def reference_overlap_points(s: LatticeStick, t: LatticeStick) -> int:
+    """Number of lattice points on both sticks."""
+    total = 1
+    for (lo1, hi1), (lo2, hi2) in zip(stick_ranges(s), stick_ranges(t)):
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if lo > hi:
+            return 0
+        total *= hi - lo + 1
+    return total
+
+
+def reference_polygon(cycle: list[tuple[int, int, int]]) -> tuple[LatticeStick, ...]:
+    """The sticks through a closed cycle of corner points, in canonical order,
+    with one sign step per corner pair and one axis list per stick."""
+
+    def step(p, q):
+        return [(v > u) - (v < u) for u, v in zip(p, q)]
+
+    pts = [p for k, p in enumerate(cycle) if p != cycle[k - 1]]
+    steps = [step(p, q) for p, q in zip(pts, pts[1:] + pts[:1])]
+    pts = [p for k, p in enumerate(pts) if steps[k - 1] != steps[k]]
+    if len(pts) < 2:
+        raise InternalInvariantError("corner cycle collapses to a point")
+    sticks = []
+    for p, q in zip(pts, pts[1:] + pts[:1]):
+        axes = [d for d in range(3) if p[d] != q[d]]
+        if len(axes) != 1:
+            raise InternalInvariantError(f"corners {p} and {q} are not joined by one stick")
+        d = axes[0]
+        c1, c2 = (p[e] for e in range(3) if e != d)
+        sticks.append(LatticeStick("xyz"[d], min(p[d], q[d]), max(p[d], q[d]), c1, c2))
+    m = len(sticks)
+    start = min(range(m), key=lambda k: (sticks[k].axis, sticks[k].c1, sticks[k].c2, sticks[k].lo))
+    step = 1 if pts[start] == stick_endpoints(sticks[start])[0] else -1
+    return tuple([sticks[(start + step * t) % m] for t in range(m)])
+
+
+def reference_violations(sticks: tuple[LatticeStick, ...]) -> list[Violation]:
+    """The two-pass validator with per-stick endpoint sets and range boxes,
+    and the non-adjacent pairs collected into a set before any box test."""
+    m = len(sticks)
+    violations: list[Violation] = []
+    if m < 4:
+        violations.append(Violation("too_few_sticks", tuple(range(m)), f"{m} sticks cannot close"))
+        return violations
+
+    ends = [set(stick_endpoints(s)) for s in sticks]
+    for k in range(m):
+        s, t = sticks[k], sticks[(k + 1) % m]
+        if s.axis == t.axis:
+            violations.append(
+                Violation("axis_repeat", (k, (k + 1) % m), f"consecutive sticks both on {s.axis}")
+            )
+        common = len(ends[k] & ends[(k + 1) % m])
+        if common != 1:
+            violations.append(
+                Violation(
+                    "corner",
+                    (k, (k + 1) % m),
+                    f"consecutive sticks share {common} endpoints, expected exactly 1",
+                )
+            )
+
+    planes: dict[tuple[str, int], list[int]] = {}
+    for k, s in enumerate(sticks):
+        n1, n2 = FIXED_COORDS[s.axis]
+        planes.setdefault((n1, s.c1), []).append(k)
+        planes.setdefault((n2, s.c2), []).append(k)
+    pairs = {
+        (i, j)
+        for ks in planes.values()
+        for x, i in enumerate(ks)
+        for j in ks[x + 1:]
+        if j > i + 1 and (i, j) != (0, m - 1)
+    }
+    for i, j in sorted(pairs):
+        common = reference_overlap_points(sticks[i], sticks[j])
+        if common:
+            violations.append(
+                Violation("overlap", (i, j), f"non-adjacent sticks share {common} points")
+            )
+    return violations
+
+
+def reference_crossing_keys(pts, depths):
+    """The integer crossing kernel that reported every meeting of two
+    non-parallel, non-adjacent segments as (s1, s2, k1, k2, sign, over),
+    s1 < s2, sorted; returns (scales, found) with the same scales as
+    render.segment_crossings.  sign is +1 when s2 crosses s1 from right to
+    left, and over is the sign of s1's depth minus s2's at the meeting."""
+    m = len(pts)
+    segs = [(x, y, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:] + pts[:1])]
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for k, (_, _, dx, dy) in enumerate(segs):
+        g = gcd(dx, dy)
+        if g:
+            if dx < 0 or (dx == 0 and dy < 0):
+                groups.setdefault((-dx // g, -dy // g), []).append((k, g))
+            else:
+                groups.setdefault((dx // g, dy // g), []).append((k, g))
+    C = lcm(*(abs(ux * vy - uy * vx) for (ux, uy), (vx, vy) in combinations(groups, 2)))
+    scales = [C] * m
+    classes = []
+    for (wx, wy), group in groups.items():
+        for k, g in group:
+            scales[k] = g * C
+        offsets = sorted([(wx * segs[k][1] - wy * segs[k][0], k) for k, _ in group])
+        length = sum([g for _, g in group])
+        density = len(group) / (length * (offsets[-1][0] - offsets[0][0] + 1))
+        classes.append((density, wx, wy, offsets, [o for o, _ in offsets]))
+    classes.sort(key=itemgetter(0), reverse=True)
+    rise = [b - a for a, b in zip(depths, depths[1:] + depths[:1])]
+    found = []
+    for (_, ux, uy, rows, _), (_, vx, vy, column, keys) in combinations(classes, 2):
+        f = C // abs(ux * vy - uy * vx)
+        spans = []
+        for _, k in column:
+            x, y, dx, dy = segs[k]
+            b0 = ux * y - uy * x
+            db = ux * dy - uy * dx
+            spans.append((b0, b0 + db, k, b0, f) if db > 0 else (b0 + db, b0, k, b0, -f))
+        for fixed, k1 in rows:
+            x, y, dx, dy = segs[k1]
+            a0 = vx * y - vy * x
+            da = vx * dy - vy * dx
+            lo1, hi1, step1 = (a0, a0 + da, f) if da > 0 else (a0 + da, a0, -f)
+            for j in range(bisect_left(keys, lo1), bisect_right(keys, hi1)):
+                lo, hi, k2, b0, step2 = spans[j]
+                if not lo <= fixed <= hi or (k1 - k2) % m in (1, m - 1):
+                    continue
+                if k1 < k2:
+                    s1, key1, s2, key2 = k1, (keys[j] - a0) * step1, k2, (fixed - b0) * step2
+                else:
+                    s1, key1, s2, key2 = k2, (fixed - b0) * step2, k1, (keys[j] - a0) * step1
+                _, _, pdx, pdy = segs[s1]
+                _, _, qdx, qdy = segs[s2]
+                K1, K2 = scales[s1], scales[s2]
+                here = (depths[s1] * K1 + key1 * rise[s1]) * K2
+                there = (depths[s2] * K2 + key2 * rise[s2]) * K1
+                sign = 1 if pdx * qdy > pdy * qdx else -1
+                found.append((s1, s2, key1, key2, sign, (here > there) - (here < there)))
+    found.sort()
+    return scales, found

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +10,19 @@ from hypothesis import given, settings, strategies as st
 import latticeknot as lk
 import latticeknot.lattice as lattice_mod
 from latticeknot import LatticePolygon, LatticeStick, cli, dataset
-from latticeknot.lattice import Violation
+from latticeknot.lattice import Violation, _basic_cycle, _end_moves, _nonstar_cycle, _polygon
 
-from conftest import lift_sweep, random_star_presentation
+from conftest import (
+    arc_presentations,
+    generate_suite,
+    lift_sweep,
+    random_star_presentation,
+    reference_overlap_points,
+    reference_polygon,
+    reference_violations,
+    stick_endpoints,
+    stick_ranges,
+)
 
 
 def unit_square():
@@ -40,9 +51,15 @@ class TestStick:
             LatticeStick("x", 2, 2, 0, 0)
 
     def test_endpoints_per_axis(self):
-        assert LatticeStick("x", 1, 4, 2, 3).endpoints() == ((1, 2, 3), (4, 2, 3))
-        assert LatticeStick("y", 1, 4, 2, 3).endpoints() == ((2, 1, 3), (2, 4, 3))
-        assert LatticeStick("z", 1, 4, 2, 3).endpoints() == ((2, 3, 1), (2, 3, 4))
+        assert stick_endpoints(LatticeStick("x", 1, 4, 2, 3)) == ((1, 2, 3), (4, 2, 3))
+        assert stick_endpoints(LatticeStick("y", 1, 4, 2, 3)) == ((2, 1, 3), (2, 4, 3))
+        assert stick_endpoints(LatticeStick("z", 1, 4, 2, 3)) == ((2, 3, 1), (2, 3, 4))
+        # the polygon's joints read each axis's endpoints the same way
+        poly = lk.construct_basic(lk.validate([[1, 4], [2, 5], [1, 3], [2, 4], [3, 5]]))
+        sticks = poly.sticks
+        assert {s.axis for s in sticks} == {"x", "y", "z"}
+        for prev, cur, joint in zip(sticks[-1:] + sticks[:-1], sticks, poly._joints):
+            assert set(joint) == set(stick_endpoints(prev)) & set(stick_endpoints(cur))
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):
@@ -124,7 +141,7 @@ class TestConstructBasic:
         for _ in range(30):
             P = lk.random_presentation(rng.randint(5, 9), rng)
             for s in lk.construct_basic(P).sticks:
-                for (lo, hi) in s.ranges():
+                for (lo, hi) in stick_ranges(s):
                     assert 1 <= lo <= hi <= P.a
 
     def test_rejects_small_a(self):
@@ -244,20 +261,20 @@ class TestLiftSweep:
 def reference_cyclic_order(sticks):
     by_point = {}
     for idx, s in enumerate(sticks):
-        for p in s.endpoints():
+        for p in stick_endpoints(s):
             by_point.setdefault(p, []).append(idx)
     assert all(len(ids) == 2 for ids in by_point.values())
     start = min(range(len(sticks)), key=lambda k: (sticks[k].axis, sticks[k].c1, sticks[k].c2, sticks[k].lo))
     order = [start]
-    cursor = sticks[start].endpoints()[1]
+    cursor = stick_endpoints(sticks[start])[1]
     while len(order) < len(sticks):
         s1, s2 = by_point[cursor]
         nxt = s2 if order[-1] == s1 else s1
         assert nxt not in order
         order.append(nxt)
-        e1, e2 = sticks[nxt].endpoints()
+        e1, e2 = stick_endpoints(sticks[nxt])
         cursor = e2 if e1 == cursor else e1
-    assert cursor == sticks[start].endpoints()[0]
+    assert cursor == stick_endpoints(sticks[start])[0]
     return tuple(sticks[k] for k in order)
 
 
@@ -410,8 +427,6 @@ class TestCornerCycle:
         assert levels >= 50
 
     def test_polygon_fuses_straight_corners_in_any_rotation_or_direction(self):
-        from latticeknot.lattice import _polygon
-
         # a 2x2 square with a repeated corner and two straight-through points
         cycle = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 2, 0), (2, 2, 0), (1, 2, 0), (0, 2, 0)]
         expected = _polygon([(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)])
@@ -436,16 +451,6 @@ class TestCornerCycle:
 
         with pytest.raises(lk.InternalInvariantError, match="axis_repeat"):
             _checked(cycle, len(cycle))
-
-
-def reference_overlap_points(s, t):
-    total = 1
-    for (lo1, hi1), (lo2, hi2) in zip(s.ranges(), t.ranges()):
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if lo > hi:
-            return 0
-        total *= hi - lo + 1
-    return total
 
 
 def reference_validate_polygon(sticks):
@@ -473,7 +478,7 @@ def reference_validate_polygon(sticks):
                 )
             )
             continue
-        shared = set(s.endpoints()) & set(t.endpoints())
+        shared = set(stick_endpoints(s)) & set(stick_endpoints(t))
         if len(shared) != 1:
             violations.append(
                 Violation("corner", (k, (k + 1) % m), "shared point is not an endpoint of both sticks")
@@ -541,13 +546,14 @@ def reference_vertices(sticks):
     """Each stick's one endpoint shared with the stick before it, pair by pair."""
     out = []
     for prev, cur in zip(sticks[-1:] + sticks[:-1], sticks):
-        (corner,) = set(prev.endpoints()) & set(cur.endpoints())
+        (corner,) = set(stick_endpoints(prev)) & set(stick_endpoints(cur))
         out.append(corner)
     return out
 
 
 def assert_validates_like_reference(sticks):
     new, old = _violations(sticks), reference_validate_polygon(sticks)
+    assert new == reference_violations(sticks)
     assert (new == []) == (old == [])
     if not new:
         poly = LatticePolygon(sticks)
@@ -572,7 +578,8 @@ def assert_validates_like_reference(sticks):
 
 
 class TestValidateAgainstReference:
-    """Two passes give the three-pass validator's verdict and overlaps."""
+    """Two passes give the three-pass validator's verdict and overlaps, and
+    exactly the per-stick oracle's violation list."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -604,7 +611,7 @@ class TestValidateAgainstReference:
         for _ in range(500):
             steps = rng.choice([4, 30])
             sticks = random_closed_walk(rng, box=rng.choice([3, 12]), axes=2, steps=steps)
-            assert len({v[2] for s in sticks for v in s.endpoints()}) == 1
+            assert len({v[2] for s in sticks for v in stick_endpoints(s)}) == 1
             old = assert_validates_like_reference(sticks)
             valid += not old
             overlaps += sum(v.kind == "overlap" for v in old)
@@ -623,6 +630,78 @@ class TestValidateAgainstReference:
             Violation("overlap", (0, 2), "non-adjacent sticks share 1 points")
         ]
         assert {v.kind for v in reference_validate_polygon(sticks)} == {"open_chain", "overlap"}
+
+
+def construction_cycles(P):
+    """The corner cycle of every construction of P: basic, reduced, and the
+    nonstar one at every lift level, of P or, when P is star-shaped, of its
+    dual."""
+    basic = _basic_cycle(P)
+    moves = _end_moves(P)
+    yield basic
+    yield [moves.get(p, p) for p in basic]
+    Q = lk.dual(P) if lk.is_star_shaped(P) else P
+    if not lk.is_star_shaped(Q):
+        nns = normalized(Q)
+        for level in range(1, nns.lift_page + 1):
+            yield _nonstar_cycle(nns, level)
+
+
+def assert_polygons_like_the_oracle(presentations):
+    """_polygon gives reference_polygon's sticks on every construction cycle; returns the count."""
+    built = 0
+    for P in presentations:
+        for cycle in construction_cycles(P):
+            assert _polygon(cycle).sticks == reference_polygon(cycle)
+            built += 1
+    return built
+
+
+@st.composite
+def corner_cycles(draw):
+    """Closed cycles of corners in [0, 3]^3, closed axis by axis like random_closed_walk.
+
+    Repeats, straight-through corners, folds and overlaps are all allowed;
+    one step in twenty moves along two axes, which no stick joins.
+    """
+    start = cur = tuple(draw(st.integers(0, 3)) for _ in range(3))
+    cycle = [cur]
+    for _ in range(draw(st.integers(1, 12))):
+        axes = draw(st.sampled_from([[0], [1], [2], []] * 5 + [[0, 2]]))
+        cur = tuple(draw(st.integers(0, 3)) if d in axes else c for d, c in enumerate(cur))
+        cycle.append(cur)
+    for d in draw(st.permutations(range(3))):
+        cur = cur[:d] + (start[d],) + cur[d + 1:]
+        cycle.append(cur)
+    return cycle
+
+
+class TestPolygonAgainstThePerStickOracle:
+    """_polygon equals the per-stick normaliser it replaced; validate_polygon
+    is held to its oracle by TestValidateAgainstReference."""
+
+    def test_polygon_on_every_suite_construction(self):
+        assert assert_polygons_like_the_oracle(generate_suite()) >= 1300
+
+    def test_polygon_on_every_a5_presentation(self):
+        assert assert_polygons_like_the_oracle(arc_presentations(5)) >= 1500
+
+    @settings(max_examples=200, deadline=None)
+    @given(corner_cycles())
+    def test_polygon_on_random_corner_cycles(self, cycle):
+        """The same sticks, or the same error, or the oracle's exact violations."""
+        try:
+            want = reference_polygon(cycle)
+        except lk.InternalInvariantError as exc:
+            with pytest.raises(lk.InternalInvariantError, match=f"^{re.escape(str(exc))}$"):
+                _polygon(cycle)
+            return
+        try:
+            got = _polygon(cycle).sticks
+        except lk.SelfIntersectionError as exc:
+            assert exc.violations == reference_violations(want) != []
+        else:
+            assert got == want and reference_violations(want) == []
 
 
 def test_vertices_stay_correct_after_the_caller_changes_the_list(p6):

@@ -13,7 +13,7 @@ from latticeknot.diagram import _assemble, _top_view
 from latticeknot.errors import InternalInvariantError
 from latticeknot.render import _depth, _screen, segment_crossings
 
-from conftest import certified_polygon, faces
+from conftest import certified_polygon, faces, reference_crossing_keys
 
 
 def _cross2(u, v):
@@ -70,76 +70,113 @@ def few_direction_polylines(draw):
     return pts
 
 
+def reference_gaps(meetings, depths):
+    """Per segment, the sorted parameters of the crossings it passes under,
+    from the Fraction kernel's meetings: those inside both segments, the gap
+    on the one with the smaller depth there, on a tie on the lower-numbered one."""
+    m = len(depths)
+    gaps = [[] for _ in depths]
+    for s1, s2, t1, t2, _ in meetings:
+        if 0 < t1 < 1 and 0 < t2 < 1:
+            here = depths[s1] + t1 * (depths[(s1 + 1) % m] - depths[s1])
+            there = depths[s2] + t2 * (depths[(s2 + 1) % m] - depths[s2])
+            if here > there:
+                gaps[s2].append(t2)
+            else:
+                gaps[s1].append(t1)
+    return [sorted(row) for row in gaps]
+
+
+def centres_from_crossing_keys(pts, depths):
+    """(scales, centres) read off the kernel that reported every meeting,
+    the way render_svg read them before the kernel returned only gaps."""
+    scales, found = reference_crossing_keys(pts, depths)
+    centres = [[] for _ in pts]
+    for s1, s2, k1, k2, _, over in found:
+        if 0 < k1 < scales[s1] and 0 < k2 < scales[s2]:
+            s, c = (s2, k2) if over > 0 else (s1, k1)
+            centres[s].append(c)
+    return scales, centres
+
+
+def assert_gaps_like_reference(pts, depths):
+    """Integer scales and centres, each centre over its scale a gap of the
+    Fraction kernel; returns the Fraction kernel's meetings."""
+    scales, centres = segment_crossings(pts, depths)
+    assert len(scales) == len(pts) and all(type(K) is int and K > 0 for K in scales)
+    assert len(centres) == len(pts) and all(type(c) is int for row in centres for c in row)
+    meetings = list(reference_segment_crossings(pts))
+    got = [sorted(Fraction(c, K) for c in row) for row, K in zip(centres, scales)]
+    assert got == reference_gaps(meetings, depths)
+    return meetings
+
+
+def interior(meetings):
+    """The meetings inside both segments: the crossings, one gap each."""
+    return [h for h in meetings if 0 < h[2] < 1 and 0 < h[3] < 1]
+
+
 class TestSegmentCrossings:
     def test_transversal_hit_exact(self):
         # segments 0 and 2 cross at (4, 2), t1 = 2/3 and t2 = 1/3; the
         # classes (2, 1), (0, 1) and (1, -1) give C = lcm(2, 3, 1) = 6, so
-        # the scales are 3 * 6 and 6 * 6.  Depths 2 and 1 there: s1 is over.
-        # Segments 1 and 3 are parallel
+        # the scales are 3 * 6 and 6 * 6.  Depths 2 and 1 there: segment 2
+        # passes under, its gap centred at key 12 = 1/3 * 36.  Segments 1
+        # and 3 are parallel
         pts = [(0, 0), (6, 3), (6, 0), (0, 6)]
-        assert segment_crossings(pts, [0, 3, 0, 3]) == ([18, 18, 36, 36], [(0, 2, 12, 12, 1, 1)])
+        assert segment_crossings(pts, [0, 3, 0, 3]) == ([18, 18, 36, 36], [[], [], [12], []])
+        assert_gaps_like_reference(pts, [0, 3, 0, 3])
 
-    def test_boundary_contact_reported(self):
+    def test_boundary_contact_gets_no_gap(self):
         # vertex (2, 0) ends segment 2 on the interior of segment 0: t1 = 1/2
-        # and t2 = 1, with C = 1, and s2 comes from the left; both depths
-        # are 1 there.  Segments 1 and 3 miss each other
+        # and t2 = 1, with C = 1, at equal depths.  A contact, not a
+        # crossing, so no gap.  Segments 1 and 3 miss each other
         pts = [(0, 0), (4, 0), (4, 2), (2, 0)]
-        assert segment_crossings(pts, [0, 2, 2, 1]) == ([4, 2, 2, 2], [(0, 2, 2, 2, -1, 0)])
+        assert [h[:4] for h in reference_segment_crossings(pts)] == [(0, 2, Fraction(1, 2), 1)]
+        assert segment_crossings(pts, [0, 2, 2, 1]) == ([4, 2, 2, 2], [[], [], [], []])
+        assert_gaps_like_reference(pts, [0, 2, 2, 1])
 
     def test_adjacent_segments_never_paired(self):
         pts = [(0, 0), (2, 0), (2, 2), (0, 2)]
-        assert segment_crossings(pts, [0, 0, 0, 0]) == ([2, 2, 2, 2], [])
-
-    @staticmethod
-    def assert_like_reference(pts, depths):
-        scales, got = segment_crossings(pts, depths)
-        want = list(reference_segment_crossings(pts))
-        assert len(scales) == len(pts) and all(type(K) is int and K > 0 for K in scales)
-        assert [(s1, s2) for s1, s2, *_ in got] == [(s1, s2) for s1, s2, *_ in want]
-        m = len(pts)
-        for (_, _, k1, k2, sign, over), (s1, s2, t1, t2, den) in zip(got, want):
-            assert all(type(v) is int for v in (k1, k2, sign, over))
-            assert Fraction(k1, scales[s1]) == t1 and Fraction(k2, scales[s2]) == t2
-            assert sign == (1 if den > 0 else -1)
-            here = depths[s1] + t1 * (depths[(s1 + 1) % m] - depths[s1])
-            there = depths[s2] + t2 * (depths[(s2 + 1) % m] - depths[s2])
-            assert over == (here > there) - (here < there)
-        return len(got)
+        assert segment_crossings(pts, [0, 0, 0, 0]) == ([2, 2, 2, 2], [[], [], [], []])
 
     def test_integer_kernel_meets_like_the_fraction_reference(self):
-        """Both views of seeded polygons at a = 5..64: the isometric one and (1, B, B**2)."""
+        """Both views of seeded polygons at a = 5..64, the isometric one and
+        (1, B, B**2): the Fraction kernel's gaps, and the centres render_svg
+        read off the kernel that reported every meeting."""
         rng = random.Random(4040)
-        hits = 0
+        gaps = 0
         for a in range(5, 65):
             poly = build_branch(lk.random_presentation(a, rng), "auto")[1]
             verts = poly.vertices()
             B = max(abs(c) for v in verts for c in v) + 2
-            hits += self.assert_like_reference(
-                [_screen(v) for v in verts], [_depth(v) for v in verts]
-            )
-            hits += self.assert_like_reference(
-                [(B * x - y, B * B * x - z) for x, y, z in verts],
-                [x + B * y + B * B * z for x, y, z in verts],
-            )
-        assert hits > 10000
+            for pts, depths in (
+                ([_screen(v) for v in verts], [_depth(v) for v in verts]),
+                ([(B * x - y, B * B * x - z) for x, y, z in verts],
+                 [x + B * y + B * B * z for x, y, z in verts]),
+            ):
+                gaps += len(interior(assert_gaps_like_reference(pts, depths)))
+                scales, centres = segment_crossings(pts, depths)
+                old_scales, old_centres = centres_from_crossing_keys(pts, depths)
+                assert scales == old_scales
+                assert [sorted(row) for row in centres] == [sorted(row) for row in old_centres]
+        assert gaps > 10000
 
     def test_zero_length_segment_skipped(self):
         # segment 1 repeats the vertex (4, 0): parallel to everything, never
         # paired, and scaled by C = 1.  Segment 2 starts where segment 0
-        # ends (t1 = 1, t2 = 0) at one depth, segment 3 crosses segment 0
-        # at (2, 0) below it (t1 = t2 = 1/2), and 2 and 4 are parallel
+        # ends (t1 = 1, t2 = 0), a contact; segment 3 crosses segment 0 at
+        # (2, 0) below it (t1 = t2 = 1/2), and 2 and 4 are parallel
         pts = [(0, 0), (4, 0), (4, 0), (2, 2), (2, -2)]
         depths = [0, 4, 4, 1, -1]
-        scales, got = segment_crossings(pts, depths)
-        assert scales == [4, 1, 2, 4, 2]
-        assert got == [(0, 2, 4, 0, 1, 0), (0, 3, 2, 2, -1, 1)]
-        self.assert_like_reference(pts, depths)
+        assert segment_crossings(pts, depths) == ([4, 1, 2, 4, 2], [[], [], [], [2], []])
+        assert_gaps_like_reference(pts, depths)
 
     @settings(max_examples=300, deadline=None)
     @given(few_direction_polylines(), st.data())
     def test_few_direction_polylines_like_the_fraction_reference(self, pts, data):
         depths = data.draw(st.lists(st.integers(-3, 3), min_size=len(pts), max_size=len(pts)))
-        self.assert_like_reference(pts, depths)
+        assert_gaps_like_reference(pts, depths)
 
     def test_integer_kernel_at_coordinates_near_2_to_the_40(self):
         """Generic polylines, and grid ones with shared vertices and collinear overlaps."""
@@ -148,13 +185,15 @@ class TestSegmentCrossings:
         for _ in range(40):
             m = rng.randint(4, 30)
             pts = [(rng.randint(-2**40, 2**40), rng.randint(-2**40, 2**40)) for _ in range(m)]
-            self.assert_like_reference(pts, [rng.randint(-2**40, 2**40) for _ in range(m)])
+            assert_gaps_like_reference(pts, [rng.randint(-2**40, 2**40) for _ in range(m)])
             grid = [(rng.randint(-4, 4) << 38, rng.randint(-4, 4) << 38) for _ in range(m)]
             depths = [rng.randint(-2, 2) << 38 for _ in range(m)]
-            self.assert_like_reference(grid, depths)
-            scales, found = segment_crossings(grid, depths)
-            contacts += sum(k1 in (0, scales[s1]) for s1, _, k1, _, _, _ in found)
-            ties += sum(over == 0 for *_, over in found)
+            meetings = assert_gaps_like_reference(grid, depths)
+            contacts += len(meetings) - len(interior(meetings))
+            for s1, s2, t1, t2, _ in interior(meetings):
+                here = depths[s1] + t1 * (depths[(s1 + 1) % m] - depths[s1])
+                there = depths[s2] + t2 * (depths[(s2 + 1) % m] - depths[s2])
+                ties += here == there
         assert contacts > 0 and ties > 0
 
 
@@ -165,30 +204,26 @@ class TestSegmentScales:
         Segment 0 runs along (1, 0) and is met by the (1, 2)-segment 3 at
         t = 1/2 and by the (1, 3)-segment 2 at t = 2/3.  The two differ by
         1/6, below 1/2 and 1/3, so a scale built from either cross alone
-        leaves one key fractional.
+        leaves one key fractional.  At equal depths segment 0, the lower
+        number, takes both gaps; raised above the others, it takes none and
+        segments 2 and 3 take one each, at t = 2/3 and t = 1/4.
         """
         pts = [(0, 0), (1, 0), (0, -2), (1, 1), (-1, -3)]
-        depths = [0] * len(pts)
-        scales, found = segment_crossings(pts, depths)
-        assert scales == [6, 6, 6, 12, 6]  # segment 3 is 2 * (-1, -2)
-        assert found == [(0, 2, 4, 4, 1, 0), (0, 3, 3, 3, -1, 0)]
-        TestSegmentCrossings.assert_like_reference(pts, depths)
+        flat, raised = [0] * len(pts), [1, 1, 0, 0, 0]
+        scales, centres = segment_crossings(pts, flat)
+        assert scales == [6, 6, 6, 12, 6] and sorted(centres[0]) == [3, 4] and not any(centres[1:])
+        assert segment_crossings(pts, raised) == ([6, 6, 6, 12, 6], [[], [], [4], [3], []])
+        assert_gaps_like_reference(pts, flat)
+        assert_gaps_like_reference(pts, raised)
 
     @settings(max_examples=200, deadline=None)
     @given(few_direction_polylines())
     def test_keys_of_few_direction_polylines_are_integers_in_parameter_order(self, pts):
-        _, found = segment_crossings(pts, [0] * len(pts))
-        hits: dict[int, list[tuple[int, Fraction]]] = {}
-        want = list(reference_segment_crossings(pts))
-        assert [h[:2] for h in found] == [h[:2] for h in want]
-        for (s1, s2, k1, k2, _, _), (_, _, t1, t2, _) in zip(found, want):
-            for s, k, t in ((s1, k1, t1), (s2, k2, t2)):
-                assert type(k) is int
-                hits.setdefault(s, []).append((k, t))
-        for row in hits.values():
-            # equal keys exactly at equal parameters, and the same order
-            assert sorted(row) == sorted(row, key=lambda h: h[1])
-            assert len({k for k, _ in row}) == len({t for _, t in row})
+        """At equal depths every gap goes to the lower-numbered segment, and
+        reversing the polyline reverses that order, so both segments of most
+        crossings have their keys checked."""
+        assert_gaps_like_reference(pts, [0] * len(pts))
+        assert_gaps_like_reference(pts[::-1], [0] * len(pts))
 
 
 class TestProjectPolygon:
