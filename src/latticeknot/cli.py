@@ -73,7 +73,11 @@ def _read_json(path: str):
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_output(path: str, text: str) -> None:
+    """Write text to the file at path, or to stdout when path is "-"."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -131,11 +135,7 @@ def _cmd_star(args) -> int:
 def _cmd_build(args) -> int:
     P = _load_presentation(args.file)
     _, poly = build_branch(P, args.branch)
-    text = canonical_dumps(poly.to_json_obj())
-    if args.out and args.out != "-":
-        _write_text(args.out, text + "\n")
-    else:
-        print(text)
+    _write_output(args.out or "-", canonical_dumps(poly.to_json_obj()) + "\n")
     return EXIT_OK
 
 
@@ -177,11 +177,13 @@ def _cmd_certify(args) -> int:
 def _cmd_render(args) -> int:
     if not args.svg and not args.obj:
         raise _UsageError("render needs --svg and/or --obj")
+    if args.svg == args.obj == "-":
+        raise _UsageError("render can write only one of --svg and --obj to stdout (-)")
     poly = polygon_from_obj(_read_json(args.file))
     if args.svg:
-        _write_text(args.svg, render_svg(poly))
+        _write_output(args.svg, render_svg(poly))
     if args.obj:
-        _write_text(args.obj, render_obj(poly))
+        _write_output(args.obj, render_obj(poly))
     return EXIT_OK
 
 
@@ -236,7 +238,7 @@ _COMMANDS = {
         "construct a lattice polygon",
         [
             ("--branch", dict(choices=["auto", "basic", "reduced", "nonstar"], default="auto")),
-            ("--out", dict(default=None, help="output file (default stdout)")),
+            ("--out", dict(default=None, help="output file; - or none for stdout")),
             _FILE,
         ],
     ),
@@ -263,8 +265,8 @@ _COMMANDS = {
         _cmd_render,
         "export SVG and/or OBJ",
         [
-            ("--svg", dict(default=None)),
-            ("--obj", dict(default=None)),
+            ("--svg", dict(default=None, help="SVG output file; - for stdout")),
+            ("--obj", dict(default=None, help="OBJ output file; - for stdout")),
             ("file", dict(help="polygon JSON")),
         ],
     ),

@@ -2,7 +2,10 @@
 
 Diagrams come from two sources: the grid picture of an arc presentation
 (vertical strands over horizontal, the standard grid convention) and exact
-top views of 3-D lattice polygons.  Invariants: Alexander
+top views of 3-D lattice polygons.  Every view of a polygon along an
+integer direction has its crossings from one exact integer kernel,
+_view_crossings: the top view here and the SVG export's isometric view
+(render.py) both read it.  Invariants: Alexander
 polynomial of an overpass minor and an optional Kauffman-bracket Jones
 polynomial.  A PlanarDiagram stores only its Gauss word (the passages in
 traversal order) and its crossing signs; passage j leaves on edge j, and
@@ -25,6 +28,7 @@ touched.  A LaurentPolynomial is built only for the result.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import isqrt
 
@@ -99,7 +103,9 @@ class PlanarDiagram:
 # assembling diagrams from traversal events
 
 
-def _assemble(events: list[tuple[object, bool]], signs: dict | list[int]) -> PlanarDiagram:
+def _assemble(
+    events: list[tuple[object, bool]], signs: dict | list[int] | tuple[int, ...]
+) -> PlanarDiagram:
     """Build a diagram from traversal events (key, passes_over) and crossing signs.
 
     signs[key] is the key's crossing's sign.  Crossings are numbered in
@@ -157,7 +163,7 @@ def arc_to_planar(P: ArcPresentation) -> PlanarDiagram:
 
 
 # ---------------------------------------------------------------------------
-# exact top view of a lattice polygon
+# exact views of a lattice polygon along integer directions
 
 
 def project_polygon(poly: LatticePolygon) -> PlanarDiagram:
@@ -177,62 +183,108 @@ def project_polygon(poly: LatticePolygon) -> PlanarDiagram:
 def _top_view(verts: list[tuple[int, int, int]]) -> PlanarDiagram:
     """Diagram of a valid polygon, given by its corners in cyclic order, seen
     along z tilted by an infinitesimal: the view along (1, B, B**2) for every
-    B above the range of z.
+    B above the range of z, taken at B = range + 1 (_view_crossings).
 
-    In the screen coordinates (x - z / B**2, y - z / B), an
-    orientation-preserving image of that view, two points lie apart by
-    their integer (x, y) offset up to less than one unit, so every strict
-    order of integers is kept and the ties are broken symbolically
-    (Edelsbrunner and Muecke, "Simulation of Simplicity", ACM Trans.
-    Graphics 9, 1990).  A z-stick's image is shorter than one unit
-    and meets another stick's only where the two share a corner; x-sticks
-    are parallel to each other, and so are y-sticks.  So only x-y pairs
-    cross.  For an x-stick at (y, z) = (yx, zx) from x0 to x1 and a y-stick
-    at (x, z) = (a, zy) from y0 to y1, with d = zx - zy, the meeting point
-    lies at x = a + d / B**2 and y = yx - d / B, exactly ordered as the
-    pairs (a, d) and (yx, -d).  The pair crosses iff (x0, 0) < (a, d) <
-    (x1, 0) and (y0, 0) < (yx, -d) < (y1, 0), and those pairs sort each
-    stick's hits.  A tie with d = 0 at an end of a stick is the corner of
-    two adjacent sticks, which do not cross; d = 0 inside both sticks would
-    be a point of space on both.  The depth along the view differs by a
-    positive multiple of d, so the higher stick is over, and the sign is
-    -sgn(dx) * sgn(dy) * sgn(d) for travel directions dx and dy: +1 when the
-    over direction is the under one turned counterclockwise.
+    Only x-y stick pairs cross there (_view_crossings).  An x-stick at
+    (y, z) = (yx, zx) and a y-stick at (x, z) = (a, zy) have images that
+    meet at x = a + n / B**2 and y = yx - n / B, n = zx - zy, |n| < B: less
+    than one unit from the integers a and yx, on the side sgn(n) gives.  So
+    which pairs cross, and in what order along each stick, is the same for
+    every B above the range: the symbolic tilt of Edelsbrunner and Muecke
+    ("Simulation of Simplicity", ACM Trans. Graphics 9, 1990), evaluated
+    at one B.
 
-    Each crossing gets an int id as it is found, the index of its sign in
-    signs.  A stick's hits sort by the plain ints (dx * a, dx * d) on an
-    x-stick and (dy * yx, -dy * d) on a y-stick, then the id: two hits on
-    one stick at the same place would put one point of space on two
-    sticks of the other axis, so the id never decides.  _assemble
-    renumbers the crossings by first passage.
+    Each crossing's id is its index in signs.  A stick's hits sort by key,
+    then id: two hits at one place on a stick would put one point of space
+    on two other sticks, so the id never decides.  _assemble renumbers the
+    crossings by first passage.
     """
-    xs, ys = [], []
-    for k, ((x, y, z), (u, v, _)) in enumerate(zip(verts, verts[1:] + verts[:1])):
-        if x != u:
-            xs.append((k, min(x, u), max(x, u), y, z, 1 if u > x else -1))
-        elif y != v:
-            ys.append((k, x, z, min(y, v), max(y, v), 1 if v > y else -1))
-    hits: list[list[tuple[int, int, int, bool]]] = [[] for _ in verts]
+    z = [v[2] for v in verts]
+    B = max(z) - min(z) + 1
+    hits: list[list[tuple[int, int, bool]]] = [[] for _ in verts]
     signs: list[int] = []
-    for i, x0, x1, yx, zx, dx in xs:
-        row = hits[i]
-        for j, a, zy, y0, y1, dy in ys:
-            if not (x0 <= a <= x1 and y0 <= yx <= y1):
-                continue
-            d = zx - zy
-            if not ((x0, 0) < (a, d) < (x1, 0) and (y0, 0) < (yx, -d) < (y1, 0)):
-                continue  # the tilt moves one image off the other's end
-            if not d:
-                raise InternalInvariantError("equal depths at a projected crossing")
-            c = len(signs)
-            signs.append(-dx * dy if d > 0 else dx * dy)
-            row.append((dx * a, dx * d, c, d > 0))
-            hits[j].append((dy * yx, -dy * d, c, d < 0))
+    for c, (over, key_over, under, key_under, sign) in enumerate(_view_crossings(verts, (1, B, B * B))):
+        hits[over].append((key_over, c, True))
+        hits[under].append((key_under, c, False))
+        signs.append(sign)
     events: list[tuple[object, bool]] = []
     for row in hits:
         row.sort()
-        events += [(c, over) for _, _, c, over in row]
+        events += [(c, over) for _, c, over in row]
     return _assemble(events, signs)
+
+
+def _view_crossings(
+    verts: list[tuple[int, int, int]], w: tuple[int, int, int]
+) -> list[tuple[int, int, int, int, int]]:
+    """The crossings of a valid polygon, given by its corners in cyclic
+    order, seen along w, a direction with positive integer components.
+
+    Returns one record (over stick, key, under stick, key, sign) per
+    crossing, in no particular order; stick k runs from verts[k] to
+    verts[k + 1 mod m].  A key is the distance of the crossing from the
+    stick's first corner, along its direction of travel, in units of
+    1 / (w0 * w1 * w2): an integer, so a stick's crossings sort exactly.
+    The sign is that of det(under, over, w) for the two travel
+    directions: +1 when, seen along w, the over direction is the under one
+    turned counterclockwise.
+
+    Parallel sticks have parallel images, so only sticks along two
+    different axes can cross.  Take A along e_i and B along e_j, k the third
+    axis, and n = A_k - B_k.  A point of A and a point of B have one image
+    when they differ by (n / w_k) * w, so the images meet where A's
+    coordinate i is B_i + w_i * n / w_k and B's coordinate j is A_j - w_j *
+    n / w_k, and A is in front, over, when n > 0.  It is a crossing when
+    both lie strictly inside their sticks: a meeting at a stick's end is a
+    corner or a contact.  n = 0 there would be one point of space on two
+    sticks, which a valid polygon does not have: InternalInvariantError.
+
+    Times w_k, B's condition reads lo_j * w_k < off(A) + w_j * B_k < hi_j *
+    w_k with off(A) = A_j * w_k - w_j * A_k, so the A-sticks are sorted by
+    that offset once and bisected once per B-stick.  As |n| >= 1 and both
+    fixed coordinates lie in the polygon's ranges, a pair of axes with w_i >=
+    span_i * w_k or w_j >= span_j * w_k has no crossing and is skipped; at w
+    = (1, B, B**2) with B above the range of z only x-y pairs are left.
+    """
+    by_axis: tuple[list, list, list] = ([], [], [])
+    for s, (p, q) in enumerate(zip(verts, verts[1:] + verts[:1])):
+        axis = 0 if p[0] != q[0] else 1 if p[1] != q[1] else 2
+        by_axis[axis].append((s, p, q[axis]))
+    span = [max(c) - min(c) for c in zip(*verts)]
+    found = []
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        wi, wj, wk = w[i], w[j], w[k]
+        if wi >= span[i] * wk or wj >= span[j] * wk:
+            continue
+        f = wi * wj  # w0 * w1 * w2 / w_k: a key is a distance times w_k, times f
+        rows = []
+        for s, p, stop in by_axis[i]:
+            start, stop = p[i] * wk, stop * wk
+            lo, hi = (start, stop) if start < stop else (stop, start)
+            rows.append((p[j] * wk - wj * p[k], s, p[k], lo, hi, start, 1 if stop > start else -1))
+        rows.sort()
+        offsets = [row[0] for row in rows]
+        for t, q, stop in by_axis[j]:
+            start, stop, base = q[j] * wk, stop * wk, wj * q[k]
+            lo, hi = (start, stop) if start < stop else (stop, start)
+            step = 1 if stop > start else -1
+            at_i = q[i] * wk
+            for off, s, Ak, lo_i, hi_i, start_i, step_i in rows[
+                bisect_right(offsets, lo - base) : bisect_left(offsets, hi - base)
+            ]:
+                n = Ak - q[k]
+                here = at_i + wi * n  # A's coordinate i at the meeting, times w_k
+                if not lo_i < here < hi_i:
+                    continue
+                if not n:
+                    raise InternalInvariantError("equal depths at a projected crossing")
+                key_a = step_i * (here - start_i) * f
+                key_b = step * (off + base - start) * f
+                if n > 0:
+                    found.append((s, key_a, t, key_b, -step_i * step))
+                else:
+                    found.append((t, key_b, s, key_a, step_i * step))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +333,7 @@ def simplify_diagram(d: PlanarDiagram) -> PlanarDiagram:
         if bigon is None:
             break
         events = [ev for ev in events if ev[0] not in bigon]
-    return _assemble(events, dict(enumerate(d.signs)))
+    return _assemble(events, d.signs)
 
 
 # ---------------------------------------------------------------------------

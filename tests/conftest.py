@@ -1,22 +1,21 @@
 """Shared fixtures and test oracles: reference presentations, the seeded
 random suite, helpers that only the tests use (faces, mirror, exact
-division, the lift sweep, random star presentations, a stick's points),
-and the per-stick forms of the polygon normaliser, the validator and the
-SVG crossing kernel that the flat passes in src/ replaced."""
+division, the lift sweep, random and page-permuted star presentations, a
+stick's points, constructions scaled and moved across the coordinate
+range), and the per-stick forms of the polygon normaliser and the
+validator that the flat passes in src/ replaced."""
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from math import gcd, lcm
-from operator import itemgetter
+from itertools import permutations
 
 import pytest
+from hypothesis import strategies as st
 
 import latticeknot as lk
-from latticeknot import LaurentPolynomial
+from latticeknot import LaurentPolynomial, LatticePolygon, jsonio
 from latticeknot.certify import build_branch
 from latticeknot.errors import InternalInvariantError
 from latticeknot.lattice import FIXED_COORDS, LatticeStick, Violation, _nonstar_cycle, _polygon
@@ -56,6 +55,12 @@ def star_chords(a: int) -> list[tuple[int, int]]:
 def star_in_order(a: int) -> lk.ArcPresentation:
     """Star presentation with page(c_i) = i; the (n+1, n)-torus knot."""
     return lk.validate(star_chords(a))
+
+
+def star_presentations(a: int):
+    """The star presentation under every order of its pages: a! presentations."""
+    for pages in permutations(sorted(star_in_order(a).arcs)):
+        yield lk.ArcPresentation(pages)
 
 
 def random_star_presentation(a: int, rng: random.Random) -> lk.ArcPresentation:
@@ -321,62 +326,28 @@ def reference_violations(sticks: tuple[LatticeStick, ...]) -> list[Violation]:
     return violations
 
 
-def reference_crossing_keys(pts, depths):
-    """The integer crossing kernel that reported every meeting of two
-    non-parallel, non-adjacent segments as (s1, s2, k1, k2, sign, over),
-    s1 < s2, sorted; returns (scales, found) with the same scales as
-    render.segment_crossings.  sign is +1 when s2 crosses s1 from right to
-    left, and over is the sign of s1's depth minus s2's at the meeting."""
-    m = len(pts)
-    segs = [(x, y, u - x, v - y) for (x, y), (u, v) in zip(pts, pts[1:] + pts[:1])]
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for k, (_, _, dx, dy) in enumerate(segs):
-        g = gcd(dx, dy)
-        if g:
-            if dx < 0 or (dx == 0 and dy < 0):
-                groups.setdefault((-dx // g, -dy // g), []).append((k, g))
-            else:
-                groups.setdefault((dx // g, dy // g), []).append((k, g))
-    C = lcm(*(abs(ux * vy - uy * vx) for (ux, uy), (vx, vy) in combinations(groups, 2)))
-    scales = [C] * m
-    classes = []
-    for (wx, wy), group in groups.items():
-        for k, g in group:
-            scales[k] = g * C
-        offsets = sorted([(wx * segs[k][1] - wy * segs[k][0], k) for k, _ in group])
-        length = sum([g for _, g in group])
-        density = len(group) / (length * (offsets[-1][0] - offsets[0][0] + 1))
-        classes.append((density, wx, wy, offsets, [o for o, _ in offsets]))
-    classes.sort(key=itemgetter(0), reverse=True)
-    rise = [b - a for a, b in zip(depths, depths[1:] + depths[:1])]
-    found = []
-    for (_, ux, uy, rows, _), (_, vx, vy, column, keys) in combinations(classes, 2):
-        f = C // abs(ux * vy - uy * vx)
-        spans = []
-        for _, k in column:
-            x, y, dx, dy = segs[k]
-            b0 = ux * y - uy * x
-            db = ux * dy - uy * dx
-            spans.append((b0, b0 + db, k, b0, f) if db > 0 else (b0 + db, b0, k, b0, -f))
-        for fixed, k1 in rows:
-            x, y, dx, dy = segs[k1]
-            a0 = vx * y - vy * x
-            da = vx * dy - vy * dx
-            lo1, hi1, step1 = (a0, a0 + da, f) if da > 0 else (a0 + da, a0, -f)
-            for j in range(bisect_left(keys, lo1), bisect_right(keys, hi1)):
-                lo, hi, k2, b0, step2 = spans[j]
-                if not lo <= fixed <= hi or (k1 - k2) % m in (1, m - 1):
-                    continue
-                if k1 < k2:
-                    s1, key1, s2, key2 = k1, (keys[j] - a0) * step1, k2, (fixed - b0) * step2
-                else:
-                    s1, key1, s2, key2 = k2, (fixed - b0) * step2, k1, (keys[j] - a0) * step1
-                _, _, pdx, pdy = segs[s1]
-                _, _, qdx, qdy = segs[s2]
-                K1, K2 = scales[s1], scales[s2]
-                here = (depths[s1] * K1 + key1 * rise[s1]) * K2
-                there = (depths[s2] * K2 + key2 * rise[s2]) * K1
-                sign = 1 if pdx * qdy > pdy * qdx else -1
-                found.append((s1, s2, key1, key2, sign, (here > there) - (here < there)))
-    found.sort()
-    return scales, found
+def placed(poly, scale, shift):
+    """poly scaled by scale > 0, then translated by shift = (tx, ty, tz)."""
+    sticks = []
+    for s in poly.sticks:
+        axis = "xyz".index(s.axis)
+        t1, t2 = (shift[e] for e in range(3) if e != axis)
+        t = shift[axis]
+        sticks.append(
+            LatticeStick(s.axis, s.lo * scale + t, s.hi * scale + t, s.c1 * scale + t1, s.c2 * scale + t2)
+        )
+    return LatticePolygon(tuple(sticks))
+
+
+@st.composite
+def placed_constructions(draw):
+    """A construction at a = 5..14, scaled by s and translated, every coordinate within MAX_COORD."""
+    a = draw(st.integers(5, 14))
+    P = lk.random_presentation(a, random.Random(draw(st.integers(0, 2**32))))
+    branch = draw(st.sampled_from(["basic", "reduced", "auto"]))
+    poly = build_branch(P, branch)[1]
+    # the constructions use coordinates 1..a; the extremes put a coordinate at +-MAX_COORD
+    top = jsonio.MAX_COORD // a
+    scale = draw(st.integers(1, top) | st.just(top))
+    lo, hi = -jsonio.MAX_COORD - scale, jsonio.MAX_COORD - a * scale
+    return placed(poly, scale, [draw(st.integers(lo, hi) | st.sampled_from([lo, hi])) for _ in range(3)])

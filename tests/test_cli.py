@@ -524,6 +524,30 @@ class TestOutputPaths:
         assert err.startswith(f"invalid input: cannot write {bad}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("option", ["build --out", "render --svg", "render --obj"])
+    def test_dash_writes_stdout_not_a_file(self, files, option, monkeypatch):
+        """As every input path "-" is stdin, every output path "-" is stdout."""
+        monkeypatch.chdir(files["dir"])
+        poly_path = str(files["dir"] / "poly.json")
+        run(["build", files["4_1"], "--out", poly_path])
+        command, flag = option.split()
+        source = files["4_1"] if command == "build" else poly_path
+        file_path = str(files["dir"] / "out.txt")
+        assert run([command, source, flag, file_path]) == (0, "", "")
+        code, out, err = run([command, source, flag, "-"])
+        assert (code, err) == (0, "")
+        assert out == Path(file_path).read_text()
+        assert not (files["dir"] / "-").exists()
+
+    def test_svg_and_obj_on_stdout_together_is_a_usage_error(self, monkeypatch, tmp_path):
+        # checked before the file is read, like every other render usage error
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["render", "--svg", "-", "--obj", "-", "/nonexistent/x.json"])
+        assert code == 64
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert not (tmp_path / "-").exists()
+
 
 class TestPolygonSizeBound:
     def test_too_many_sticks_exit_4(self):

@@ -1,4 +1,5 @@
-"""Exact top views of lattice polygons, and the segment kernel the SVG export uses."""
+"""Exact views of lattice polygons along integer directions: the top view
+and the isometric one the SVG export draws, from one crossing kernel."""
 
 import random
 from fractions import Fraction
@@ -9,15 +10,20 @@ from hypothesis import given, settings, strategies as st
 import latticeknot as lk
 from latticeknot import LatticePolygon, LatticeStick
 from latticeknot.certify import _output_diagram, build_branch
-from latticeknot.diagram import _assemble, _top_view
+from latticeknot.diagram import _assemble, _top_view, _view_crossings
 from latticeknot.errors import InternalInvariantError
-from latticeknot.render import _depth, _screen, segment_crossings
+from latticeknot.render import _VIEW, _screen
 
-from conftest import certified_polygon, faces, reference_crossing_keys
+from conftest import certified_polygon, faces, placed_constructions, reference_polygon
 
 
 def _cross2(u, v):
     return u[0] * v[1] - u[1] * v[0]
+
+
+def _depth(p, w=_VIEW):
+    """Depth along the view direction w: the larger, the nearer the viewer."""
+    return sum(c * d for c, d in zip(p, w))
 
 
 def reference_segment_crossings(pts):
@@ -49,181 +55,163 @@ def unit_square():
     )
 
 
-# a handful of screen directions: antiparallel and scaled copies share a class
-_DIRECTIONS = [(1, 0), (0, 1), (-3, 0), (2, 4), (-1, -2), (3, -1), (-6, 2), (1, 1)]
+def valid_cycle(cycle):
+    """cycle, after checking that its sticks make a valid polygon."""
+    LatticePolygon(reference_polygon(cycle))
+    return cycle
 
 
-@st.composite
-def few_direction_polylines(draw):
-    """Closed polylines stepping along _DIRECTIONS on a small grid.
-
-    Zero steps repeat a vertex (a zero-length segment); small steps on a
-    few lines give collinear overlaps, endpoint contacts and crossings.
-    """
-    x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
-    pts = [(x, y)]
-    for _ in range(draw(st.integers(2, 24))):
-        dx, dy = draw(st.sampled_from(_DIRECTIONS))
-        c = draw(st.integers(-2, 2))
-        x, y = x + c * dx, y + c * dy
-        pts.append((x, y))
-    return pts
+def tilted_top(verts, B):
+    """The view along (1, B, B**2) and an image of it, (B*x - y, B**2*x - z)."""
+    return (1, B, B * B), [(B * x - y, B * B * x - z) for x, y, z in verts]
 
 
-def reference_gaps(meetings, depths):
-    """Per segment, the sorted parameters of the crossings it passes under,
-    from the Fraction kernel's meetings: those inside both segments, the gap
-    on the one with the smaller depth there, on a tie on the lower-numbered one."""
-    m = len(depths)
-    gaps = [[] for _ in depths]
-    for s1, s2, t1, t2, _ in meetings:
-        if 0 < t1 < 1 and 0 < t2 < 1:
-            here = depths[s1] + t1 * (depths[(s1 + 1) % m] - depths[s1])
-            there = depths[s2] + t2 * (depths[(s2 + 1) % m] - depths[s2])
-            if here > there:
-                gaps[s2].append(t2)
-            else:
-                gaps[s1].append(t1)
-    return [sorted(row) for row in gaps]
+def screen_along(w, verts):
+    """An image of the view along w: two rows orthogonal to w whose cross
+    product is a positive multiple of w, as _screen's rows are of _VIEW's."""
+    w0, w1, w2 = w
+    return [(w1 * x - w0 * y, w2 * (w0 * x + w1 * y) - (w0 * w0 + w1 * w1) * z) for x, y, z in verts]
 
 
-def centres_from_crossing_keys(pts, depths):
-    """(scales, centres) read off the kernel that reported every meeting,
-    the way render_svg read them before the kernel returned only gaps."""
-    scales, found = reference_crossing_keys(pts, depths)
-    centres = [[] for _ in pts]
-    for s1, s2, k1, k2, _, over in found:
-        if 0 < k1 < scales[s1] and 0 < k2 < scales[s2]:
-            s, c = (s2, k2) if over > 0 else (s1, k1)
-            centres[s].append(c)
-    return scales, centres
-
-
-def assert_gaps_like_reference(pts, depths):
-    """Integer scales and centres, each centre over its scale a gap of the
-    Fraction kernel; returns the Fraction kernel's meetings."""
-    scales, centres = segment_crossings(pts, depths)
-    assert len(scales) == len(pts) and all(type(K) is int and K > 0 for K in scales)
-    assert len(centres) == len(pts) and all(type(c) is int for row in centres for c in row)
-    meetings = list(reference_segment_crossings(pts))
-    got = [sorted(Fraction(c, K) for c in row) for row, K in zip(centres, scales)]
-    assert got == reference_gaps(meetings, depths)
-    return meetings
+def scales(verts, w):
+    """Per stick, its length in the kernel's key units 1 / (w0 * w1 * w2)."""
+    unit = w[0] * w[1] * w[2]
+    return [unit * sum(abs(b - a) for a, b in zip(p, q)) for p, q in zip(verts, verts[1:] + verts[:1])]
 
 
 def interior(meetings):
-    """The meetings inside both segments: the crossings, one gap each."""
+    """The meetings inside both segments: the crossings."""
     return [h for h in meetings if 0 < h[2] < 1 and 0 < h[3] < 1]
 
 
+def assert_crossings_like_reference(verts, w, pts):
+    """_view_crossings(verts, w) against the Fraction kernel on pts, an image
+    of the view along w with the same orientation: the same meetings inside
+    both sticks, the under stick the one with the smaller depth there, the
+    sign that of cross(under, over) on screen, and each integer key over its
+    stick's scale the Fraction parameter.  Returns the Fraction meetings."""
+    m = len(verts)
+    records = _view_crossings(verts, w)
+    K = scales(verts, w)
+    assert all(type(key) is int for r in records for key in (r[1], r[3]))
+    got = {(o, Fraction(ko, K[o]), u, Fraction(ku, K[u]), sign) for o, ko, u, ku, sign in records}
+    depths = [_depth(v, w) for v in verts]
+    dirs = [(q[0] - p[0], q[1] - p[1]) for p, q in zip(pts, pts[1:] + pts[:1])]
+    meetings = list(reference_segment_crossings(pts))
+    want = set()
+    for s1, s2, t1, t2, _ in interior(meetings):
+        here = depths[s1] + t1 * (depths[(s1 + 1) % m] - depths[s1])
+        there = depths[s2] + t2 * (depths[(s2 + 1) % m] - depths[s2])
+        assert here != there
+        o, to, u, tu = (s1, t1, s2, t2) if here > there else (s2, t2, s1, t1)
+        want.add((o, to, u, tu, 1 if _cross2(dirs[u], dirs[o]) > 0 else -1))
+    assert len(records) == len(got) and got == want
+    return meetings
+
+
+@st.composite
+def views_of_constructions(draw):
+    """The corners of a construction at a = 5..8 and a view direction with components 1..9."""
+    P = lk.random_presentation(draw(st.integers(5, 8)), random.Random(draw(st.integers(0, 2**32))))
+    poly = build_branch(P, draw(st.sampled_from(["basic", "reduced", "auto"])))[1]
+    return poly.vertices(), tuple(draw(st.integers(1, 9)) for _ in range(3))
+
+
 class TestSegmentCrossings:
+    """_view_crossings on lattice polygons, against the Fraction kernel on their images."""
+
     def test_transversal_hit_exact(self):
-        # segments 0 and 2 cross at (4, 2), t1 = 2/3 and t2 = 1/3; the
-        # classes (2, 1), (0, 1) and (1, -1) give C = lcm(2, 3, 1) = 6, so
-        # the scales are 3 * 6 and 6 * 6.  Depths 2 and 1 there: segment 2
-        # passes under, its gap centred at key 12 = 1/3 * 36.  Segments 1
-        # and 3 are parallel
-        pts = [(0, 0), (6, 3), (6, 0), (0, 6)]
-        assert segment_crossings(pts, [0, 3, 0, 3]) == ([18, 18, 36, 36], [[], [], [12], []])
-        assert_gaps_like_reference(pts, [0, 3, 0, 3])
+        # stick 0 runs along x at (y, z) = (2, 0), stick 4 along y at (x, z) =
+        # (1, -1): n = 1, so stick 0 is over.  Along (26, 30, 15) they meet at
+        # x = 1 + 26/15 and y = 2 - 30/15, keys 41/15 and 1 times 11700; along
+        # (1, 2, 4), the top view, at x = 1 + 1/4 and y = 2 - 2/4, keys 5/4 and
+        # 5/2 times 8.  The sign is det(e_y, e_x, w) < 0
+        verts = valid_cycle(
+            [(0, 2, 0), (4, 2, 0), (4, 2, -1), (4, -1, -1), (1, -1, -1), (1, 4, -1), (0, 4, -1), (0, 4, 0)]
+        )
+        assert _view_crossings(verts, _VIEW) == [(0, 31980, 4, 11700, -1)]
+        assert _view_crossings(verts, (1, 2, 4)) == [(0, 10, 4, 20, -1)]
+        assert_crossings_like_reference(verts, _VIEW, [_screen(v) for v in verts])
+        assert_crossings_like_reference(verts, *tilted_top(verts, 2))
 
     def test_boundary_contact_gets_no_gap(self):
-        # vertex (2, 0) ends segment 2 on the interior of segment 0: t1 = 1/2
-        # and t2 = 1, with C = 1, at equal depths.  A contact, not a
-        # crossing, so no gap.  Segments 1 and 3 miss each other
-        pts = [(0, 0), (4, 0), (4, 2), (2, 0)]
-        assert [h[:4] for h in reference_segment_crossings(pts)] == [(0, 2, Fraction(1, 2), 1)]
-        assert segment_crossings(pts, [0, 2, 2, 1]) == ([4, 2, 2, 2], [[], [], [], []])
-        assert_gaps_like_reference(pts, [0, 2, 2, 1])
+        # as above with stick 4 starting at y = 0: along _VIEW the images of
+        # sticks 0 and 4 now meet at stick 4's first corner, and stick 1's
+        # first corner, (4, 2, 0), lies on stick 3's image.  Contacts, not
+        # crossings; the top view still sees the crossing of sticks 0 and 4
+        verts = valid_cycle(
+            [(0, 2, 0), (4, 2, 0), (4, 2, -1), (4, 0, -1), (1, 0, -1), (1, 4, -1), (0, 4, -1), (0, 4, 0)]
+        )
+        meetings = [h[:4] for h in reference_segment_crossings([_screen(v) for v in verts])]
+        assert meetings == [(0, 4, Fraction(41, 60), 0), (1, 3, 0, Fraction(26, 45))]
+        assert _view_crossings(verts, _VIEW) == []
+        assert _view_crossings(verts, (1, 2, 4)) == [(0, 10, 4, 12, -1)]
+        assert_crossings_like_reference(verts, _VIEW, [_screen(v) for v in verts])
+        assert_crossings_like_reference(verts, *tilted_top(verts, 2))
 
     def test_adjacent_segments_never_paired(self):
-        pts = [(0, 0), (2, 0), (2, 2), (0, 2)]
-        assert segment_crossings(pts, [0, 0, 0, 0]) == ([2, 2, 2, 2], [[], [], [], []])
+        verts = unit_square().vertices()
+        assert _view_crossings(verts, _VIEW) == _view_crossings(verts, (1, 2, 4)) == []
 
     def test_integer_kernel_meets_like_the_fraction_reference(self):
         """Both views of seeded polygons at a = 5..64, the isometric one and
-        (1, B, B**2): the Fraction kernel's gaps, and the centres render_svg
-        read off the kernel that reported every meeting."""
+        (1, B, B**2), like the Fraction kernel."""
         rng = random.Random(4040)
-        gaps = 0
+        crossings = 0
         for a in range(5, 65):
-            poly = build_branch(lk.random_presentation(a, rng), "auto")[1]
-            verts = poly.vertices()
+            verts = build_branch(lk.random_presentation(a, rng), "auto")[1].vertices()
             B = max(abs(c) for v in verts for c in v) + 2
-            for pts, depths in (
-                ([_screen(v) for v in verts], [_depth(v) for v in verts]),
-                ([(B * x - y, B * B * x - z) for x, y, z in verts],
-                 [x + B * y + B * B * z for x, y, z in verts]),
-            ):
-                gaps += len(interior(assert_gaps_like_reference(pts, depths)))
-                scales, centres = segment_crossings(pts, depths)
-                old_scales, old_centres = centres_from_crossing_keys(pts, depths)
-                assert scales == old_scales
-                assert [sorted(row) for row in centres] == [sorted(row) for row in old_centres]
-        assert gaps > 10000
-
-    def test_zero_length_segment_skipped(self):
-        # segment 1 repeats the vertex (4, 0): parallel to everything, never
-        # paired, and scaled by C = 1.  Segment 2 starts where segment 0
-        # ends (t1 = 1, t2 = 0), a contact; segment 3 crosses segment 0 at
-        # (2, 0) below it (t1 = t2 = 1/2), and 2 and 4 are parallel
-        pts = [(0, 0), (4, 0), (4, 0), (2, 2), (2, -2)]
-        depths = [0, 4, 4, 1, -1]
-        assert segment_crossings(pts, depths) == ([4, 1, 2, 4, 2], [[], [], [], [2], []])
-        assert_gaps_like_reference(pts, depths)
+            for w, pts in ((_VIEW, [_screen(v) for v in verts]), tilted_top(verts, B)):
+                crossings += len(interior(assert_crossings_like_reference(verts, w, pts)))
+        assert crossings > 10000
 
     @settings(max_examples=300, deadline=None)
-    @given(few_direction_polylines(), st.data())
-    def test_few_direction_polylines_like_the_fraction_reference(self, pts, data):
-        depths = data.draw(st.lists(st.integers(-3, 3), min_size=len(pts), max_size=len(pts)))
-        assert_gaps_like_reference(pts, depths)
+    @given(views_of_constructions())
+    def test_few_direction_polylines_like_the_fraction_reference(self, view):
+        """A lattice polygon's image is a polyline in three directions: along
+        any positive integer w, like the Fraction kernel."""
+        verts, w = view
+        assert_crossings_like_reference(verts, w, screen_along(w, verts))
 
-    def test_integer_kernel_at_coordinates_near_2_to_the_40(self):
-        """Generic polylines, and grid ones with shared vertices and collinear overlaps."""
-        rng = random.Random(4041)
-        contacts = ties = 0
-        for _ in range(40):
-            m = rng.randint(4, 30)
-            pts = [(rng.randint(-2**40, 2**40), rng.randint(-2**40, 2**40)) for _ in range(m)]
-            assert_gaps_like_reference(pts, [rng.randint(-2**40, 2**40) for _ in range(m)])
-            grid = [(rng.randint(-4, 4) << 38, rng.randint(-4, 4) << 38) for _ in range(m)]
-            depths = [rng.randint(-2, 2) << 38 for _ in range(m)]
-            meetings = assert_gaps_like_reference(grid, depths)
-            contacts += len(meetings) - len(interior(meetings))
-            for s1, s2, t1, t2, _ in interior(meetings):
-                here = depths[s1] + t1 * (depths[(s1 + 1) % m] - depths[s1])
-                there = depths[s2] + t2 * (depths[(s2 + 1) % m] - depths[s2])
-                ties += here == there
-        assert contacts > 0 and ties > 0
+    @settings(max_examples=40, deadline=None)
+    @given(placed_constructions())
+    def test_integer_kernel_at_coordinates_near_2_to_the_40(self, poly):
+        """Constructions scaled and moved to coordinates up to 2**40, in both views."""
+        verts = poly.vertices()
+        z = [v[2] for v in verts]
+        assert_crossings_like_reference(verts, _VIEW, [_screen(v) for v in verts])
+        assert_crossings_like_reference(verts, *tilted_top(verts, max(z) - min(z) + 1))
 
 
 class TestSegmentScales:
     def test_hits_closer_than_either_cross_get_distinct_integer_keys(self):
-        """Only three classes: (1, 0), (1, 2) and (1, 3), so C = lcm(2, 3, 1) = 6.
-
-        Segment 0 runs along (1, 0) and is met by the (1, 2)-segment 3 at
-        t = 1/2 and by the (1, 3)-segment 2 at t = 2/3.  The two differ by
-        1/6, below 1/2 and 1/3, so a scale built from either cross alone
-        leaves one key fractional.  At equal depths segment 0, the lower
-        number, takes both gaps; raised above the others, it takes none and
-        segments 2 and 3 take one each, at t = 2/3 and t = 1/4.
-        """
-        pts = [(0, 0), (1, 0), (0, -2), (1, 1), (-1, -3)]
-        flat, raised = [0] * len(pts), [1, 1, 0, 0, 0]
-        scales, centres = segment_crossings(pts, flat)
-        assert scales == [6, 6, 6, 12, 6] and sorted(centres[0]) == [3, 4] and not any(centres[1:])
-        assert segment_crossings(pts, raised) == ([6, 6, 6, 12, 6], [[], [], [4], [3], []])
-        assert_gaps_like_reference(pts, flat)
-        assert_gaps_like_reference(pts, raised)
+        """Stick 0 runs up the z-axis from 0 to 6.  Along _VIEW the x-stick 5
+        at (y, z) = (-1, 2) crosses it at z = 2 + 1/2, under it, and the
+        y-stick 2 at (x, z) = (6, 6) at z = 6 - 15 * 6 / 26, over it: 1/26
+        apart, with denominators 2 and 26.  In units of 1 / 11700 both are
+        integers, 450 apart."""
+        verts = valid_cycle(
+            [(0, 0, 0), (0, 0, 6), (6, 0, 6), (6, 8, 6), (6, 8, 2), (6, -1, 2), (-2, -1, 2), (-2, -1, 0), (-2, 0, 0)]
+        )
+        records = _view_crossings(verts, _VIEW)
+        on_0 = sorted((r[1] if r[0] == 0 else r[3], r[0] == 0) for r in records if 0 in (r[0], r[2]))
+        assert on_0 == [(29250, True), (29700, False)]
+        assert_crossings_like_reference(verts, _VIEW, [_screen(v) for v in verts])
 
     @settings(max_examples=200, deadline=None)
-    @given(few_direction_polylines())
-    def test_keys_of_few_direction_polylines_are_integers_in_parameter_order(self, pts):
-        """At equal depths every gap goes to the lower-numbered segment, and
-        reversing the polyline reverses that order, so both segments of most
-        crossings have their keys checked."""
-        assert_gaps_like_reference(pts, [0] * len(pts))
-        assert_gaps_like_reference(pts[::-1], [0] * len(pts))
+    @given(views_of_constructions())
+    def test_keys_of_few_direction_polylines_are_integers_in_parameter_order(self, view):
+        """Reversed, a polygon has the same crossings and signs, each key
+        measured from the stick's other end: key' = scale - key."""
+        verts, w = view
+        assert_crossings_like_reference(verts, w, screen_along(w, verts))
+        m = len(verts)
+        K = scales(verts, w)
+        back = verts[::-1]  # stick k of back is stick m - 2 - k, reversed
+        flip = {(m - 2 - s) % m: s for s in range(m)}
+        mirrored = sorted((flip[o], K[flip[o]] - ko, flip[u], K[flip[u]] - ku, sign)
+                          for o, ko, u, ku, sign in _view_crossings(back, w))
+        assert mirrored == sorted(_view_crossings(verts, w))
 
 
 class TestProjectPolygon:
@@ -399,8 +387,14 @@ def test_one_scan_decides_like_the_three_pass_reference():
 
 def test_top_view_refuses_a_point_on_two_sticks():
     """Equal heights strictly inside both sticks are one point of space on
-    two sticks, which a valid polygon cannot have: a bug, not a crossing."""
+    two sticks, which a valid polygon cannot have: a bug, not a crossing,
+    in the top view and in the SVG's view."""
     # sticks 0 and 3 meet at (1, 1, 0); the tie rules alone see a crossing
     verts = [(0, 1, 0), (2, 1, 0), (2, 2, 0), (1, 2, 0), (1, 0, 0), (0, 0, 0)]
     with pytest.raises(InternalInvariantError, match="equal depths"):
         _top_view(verts)
+    # along _VIEW an x-y pair crosses only where the y range is above 30 / 15
+    # and the x range above 26 / 15: sticks 0 and 3 meet at (1, 1, 0) again
+    verts = [(0, 1, 0), (3, 1, 0), (3, 3, 0), (1, 3, 0), (1, 0, 0), (0, 0, 0)]
+    with pytest.raises(InternalInvariantError, match="equal depths"):
+        _view_crossings(verts, _VIEW)

@@ -4,15 +4,15 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 import latticeknot as lk
 from latticeknot import LatticePolygon, LatticeStick, jsonio
 from latticeknot.certify import build_branch
-from latticeknot.render import _SCALE, _depth, _screen, render_svg
+from latticeknot.render import _SCALE, _screen, render_svg
 
-from conftest import certified_polygon
-from test_projection import reference_segment_crossings, reference_top_view
+from conftest import certified_polygon, placed, placed_constructions
+from test_projection import _depth, reference_segment_crossings, reference_top_view
 
 _GAP = Fraction(3, 10)  # lattice units of strand hidden on each side
 
@@ -109,33 +109,6 @@ def test_big_coordinates_draw_like_the_reference():
     svg = render_svg(poly)
     assert svg == reference_render_svg(poly)
     assert svg.count("<line") > len(poly.sticks)
-
-
-def placed(poly, scale, shift):
-    """poly scaled by scale > 0, then translated by shift = (tx, ty, tz)."""
-    sticks = []
-    for s in poly.sticks:
-        axis = "xyz".index(s.axis)
-        t1, t2 = (shift[e] for e in range(3) if e != axis)
-        t = shift[axis]
-        sticks.append(
-            LatticeStick(s.axis, s.lo * scale + t, s.hi * scale + t, s.c1 * scale + t1, s.c2 * scale + t2)
-        )
-    return LatticePolygon(tuple(sticks))
-
-
-@st.composite
-def placed_constructions(draw):
-    """A construction at a = 5..14, scaled by s and translated, every coordinate within MAX_COORD."""
-    a = draw(st.integers(5, 14))
-    P = lk.random_presentation(a, random.Random(draw(st.integers(0, 2**32))))
-    branch = draw(st.sampled_from(["basic", "reduced", "auto"]))
-    poly = build_branch(P, branch)[1]
-    # the constructions use coordinates 1..a; the extremes put a coordinate at +-MAX_COORD
-    top = jsonio.MAX_COORD // a
-    scale = draw(st.integers(1, top) | st.just(top))
-    lo, hi = -jsonio.MAX_COORD - scale, jsonio.MAX_COORD - a * scale
-    return placed(poly, scale, [draw(st.integers(lo, hi) | st.sampled_from([lo, hi])) for _ in range(3)])
 
 
 @settings(max_examples=100, deadline=None)
