@@ -236,33 +236,24 @@ class NormalizedNonStar:
 def normalize_for_nonstar(P: ArcPresentation, w: NonStarWitness) -> NormalizedNonStar:
     """Relabel so the witness becomes (alpha, beta, a), with (alpha, beta) at page 1.
 
-    Rotating by a - gamma' sends gamma' to a, alpha' to alpha' + a - gamma'
-    and beta' to beta' + a - gamma' (mod*).  Exactly one labeling of the two
-    far ends yields 1 < alpha < beta < a; it is the one taken.  Both page
-    numbers are the two pages at beta', told apart by their far ends:
-    rotating pages by 1 - first, first the page of (alpha', beta'), brings
-    that arc to page 1 and (beta', gamma') to lift_page.
+    gamma' is the far end met first going up cyclically from beta', and
+    rotating by a - gamma' sends gamma' to a, alpha' to alpha' + a - gamma'
+    and beta' to beta' + a - gamma' (mod*).  Going up from gamma' meets
+    alpha' before beta', so alpha < beta < a, and 1 < alpha because the
+    far ends are not cyclically adjacent.  Both page numbers are the two
+    pages at beta', told apart by their far ends: rotating pages by
+    1 - first, first the page of (alpha', beta'), brings that arc to page 1
+    and (beta', gamma') to lift_page.
     """
-    a = P.a
-    for alpha_raw, gamma_raw in (
-        (w.alpha_raw, w.gamma_raw),
-        (w.gamma_raw, w.alpha_raw),
-    ):
-        shift = a - gamma_raw
-        alpha = mod_star(alpha_raw + shift, a)
-        beta = mod_star(w.beta_raw + shift, a)
-        if 1 < alpha < beta < a:
-            break
-    else:
-        raise InternalInvariantError(
-            f"no far-end labeling of witness {w} normalizes to 1 < alpha < beta < a"
-        )
-    k1, k2 = P.pages_at(w.beta_raw)
-    first, last = (k1, k2) if P.far_ends(w.beta_raw)[0] == alpha_raw else (k2, k1)
+    a, beta_raw = P.a, w.beta_raw
+    gamma_raw, alpha_raw = sorted((w.alpha_raw, w.gamma_raw), key=lambda f: (f - beta_raw) % a)
+    shift = a - gamma_raw
+    k1, k2 = P.pages_at(beta_raw)
+    first, last = (k1, k2) if P.far_ends(beta_raw)[0] == alpha_raw else (k2, k1)
     return NormalizedNonStar(
         presentation=rotate(P, 1 - first, shift),
-        alpha=alpha,
-        beta=beta,
+        alpha=mod_star(alpha_raw + shift, a),
+        beta=mod_star(beta_raw + shift, a),
         lift_page=mod_star(last + 1 - first, a),
     )
 
@@ -285,8 +276,9 @@ class TorusClassification:
 def torus_order_check(P: ArcPresentation) -> TorusClassification | None:
     """Classify a star-shaped presentation as torus-ordered, if it is.
 
-    The chord c_i joins i to mod*(i+n, a).  Every rotation offset and both
-    directions are tried by brute force; a is small so clarity wins.
+    The chord c_i joins i to mod*(i+n, a).  The page of c_1 fixes the
+    offset of each direction: page(c_1) = mod*(1+m, a) in order and
+    mod*(m-1, a) reversed.  Each direction then checks the other chords.
     """
     if not is_star_shaped(P):
         raise NotStarShapedError("torus order check needs a star-shaped presentation")
@@ -299,12 +291,10 @@ def torus_order_check(P: ArcPresentation) -> TorusClassification | None:
     for i in range(1, a + 1):
         j = mod_star(i + n, a)
         pages.append(page_by_pair[(min(i, j), max(i, j))])
-    for m in range(a):
-        if all(pages[i - 1] == mod_star(i + m, a) for i in range(1, a + 1)):
-            return TorusClassification(n=n, direction="in-order", rotation_offset=m)
-    for m in range(a):
-        if all(pages[i - 1] == mod_star(m - i, a) for i in range(1, a + 1)):
-            return TorusClassification(n=n, direction="reverse-order", rotation_offset=m)
+    for direction, step in (("in-order", 1), ("reverse-order", -1)):
+        m = (pages[0] - step) % a
+        if all(pages[i - 1] == mod_star(m + step * i, a) for i in range(2, a + 1)):
+            return TorusClassification(n=n, direction=direction, rotation_offset=m)
     return None
 
 

@@ -17,7 +17,6 @@ from .arc import (
     ArcPresentation,
     dual,
     find_nonstar_witness,
-    is_star_shaped,
     normalize_for_nonstar,
     torus_order_check,
 )
@@ -116,37 +115,39 @@ class ConstructionCertificate:
 def build_branch(P: ArcPresentation, branch: str) -> tuple[str, LatticePolygon]:
     """Build the polygon of one construction branch; return (branch, polygon).
 
-    Every branch requires 5 <= a <= 64.  "auto" picks the branch the paper
-    prescribes: "nonstar" for non-star input, "torus-star" (the reduced
-    build) for a star-shaped input in torus order, "dual-nonstar"
-    otherwise.  "basic", "reduced" and "nonstar" may also be asked for
-    directly; "nonstar" then rejects star-shaped input.  Each constructor
-    validates its polygon and checks its stick count.
+    Requests are the CLI's --branch choices, and each needs 5 <= a <= 64:
+    "basic" and "reduced" build any presentation, "nonstar" rejects a
+    star-shaped one, and "auto" picks the branch the paper prescribes from
+    one witness scan of P.
+
+    Outcomes, the branch returned: the request, except for "auto", which
+    returns "nonstar" when P has a non-star witness, "torus-star" (the
+    reduced build) for star-shaped P in torus order, and "dual-nonstar"
+    (the nonstar build of dual(P), which provably has a witness) otherwise.
+    Each constructor validates its polygon and checks its stick count.
     """
     if not 5 <= P.a <= MAX_ARC_COUNT:
         raise ArcCountOutOfRangeError(f"pipeline needs 5 <= a <= {MAX_ARC_COUNT}, got a={P.a}")
-    if branch == "auto":
-        if not is_star_shaped(P):
-            branch = "nonstar"
-        elif torus_order_check(P) is not None:
-            branch = "torus-star"
-        else:
-            branch = "dual-nonstar"
     if branch == "basic":
         return branch, construct_basic(P)
-    if branch in ("reduced", "torus-star"):
+    if branch == "reduced":
         return branch, reduce_ends(P)
-    if branch == "dual-nonstar":
-        P = dual(P)
-        if is_star_shaped(P):
+    if branch not in ("auto", "nonstar"):
+        raise ValueError(f"unknown branch {branch!r}")
+    witness = find_nonstar_witness(P)
+    if witness is not None:
+        branch = "nonstar"
+    elif branch == "nonstar":
+        raise ValueError("presentation is star shaped; the nonstar branch needs a witness")
+    elif torus_order_check(P) is not None:
+        return "torus-star", reduce_ends(P)
+    else:
+        branch, P = "dual-nonstar", dual(P)
+        witness = find_nonstar_witness(P)
+        if witness is None:
             raise InternalInvariantError(
                 "dual of a star-shaped, non-torus-order presentation must be non-star"
             )
-    elif branch != "nonstar":
-        raise ValueError(f"unknown branch {branch!r}")
-    witness = find_nonstar_witness(P)
-    if witness is None:
-        raise ValueError("presentation is star shaped; the nonstar branch needs a witness")
     return branch, construct_nonstar(normalize_for_nonstar(P, witness))
 
 

@@ -85,6 +85,13 @@ def _write_output(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
+def _output_path(path: str) -> str:
+    """An output option's value as given; an empty one names no file."""
+    if not path:
+        raise argparse.ArgumentTypeError("empty path; give a file, or - for stdout")
+    return path
+
+
 def _load_presentation(path: str) -> ArcPresentation:
     return presentation_from_obj(_read_json(path))
 
@@ -238,7 +245,7 @@ _COMMANDS = {
         "construct a lattice polygon",
         [
             ("--branch", dict(choices=["auto", "basic", "reduced", "nonstar"], default="auto")),
-            ("--out", dict(default=None, help="output file; - or none for stdout")),
+            ("--out", dict(type=_output_path, help="output file; - or none for stdout")),
             _FILE,
         ],
     ),
@@ -265,8 +272,8 @@ _COMMANDS = {
         _cmd_render,
         "export SVG and/or OBJ",
         [
-            ("--svg", dict(default=None, help="SVG output file; - for stdout")),
-            ("--obj", dict(default=None, help="OBJ output file; - for stdout")),
+            ("--svg", dict(type=_output_path, help="SVG output file; - for stdout")),
+            ("--obj", dict(type=_output_path, help="OBJ output file; - for stdout")),
             ("file", dict(help="polygon JSON")),
         ],
     ),

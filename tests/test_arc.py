@@ -10,7 +10,7 @@ import latticeknot as lk
 from latticeknot import PresentationError
 from latticeknot.errors import InternalInvariantError
 
-from conftest import random_star_presentation, star_in_order, star_presentations
+from conftest import arc_presentations, random_star_presentation, star_in_order, star_presentations
 
 
 class TestModStar:
@@ -368,6 +368,16 @@ class TestWitness:
             )
             assert (lk.find_nonstar_witness(P) is None) == lk.is_star_shaped(P)
 
+    @pytest.mark.parametrize("a", [5, 6])
+    def test_none_iff_star_on_every_presentation(self, a):
+        # build_branch reads star shape from the witness scan alone
+        star = 0
+        for P in arc_presentations(a):
+            is_star = lk.is_star_shaped(P)
+            assert (lk.find_nonstar_witness(P) is None) == is_star, P.arcs
+            star += is_star
+        assert star == {5: 24, 6: 0}[a]
+
     def test_witness_arcs_exist(self):
         rng = random.Random(35)
         for _ in range(100):
@@ -379,6 +389,23 @@ class TestWitness:
             assert (min(w.alpha_raw, w.beta_raw), max(w.alpha_raw, w.beta_raw)) in pairs
             assert (min(w.beta_raw, w.gamma_raw), max(w.beta_raw, w.gamma_raw)) in pairs
             assert (w.alpha_raw - w.gamma_raw) % P.a not in (1, P.a - 1)
+
+
+def reference_normalize(P, w):
+    """The two-step relabelling by search: the far-end labelling that gives
+    1 < alpha < beta < a, then the pages of its two arcs found in P."""
+    a = P.a
+    for alpha_raw, gamma_raw in ((w.alpha_raw, w.gamma_raw), (w.gamma_raw, w.alpha_raw)):
+        shift = a - gamma_raw
+        alpha, beta = lk.mod_star(alpha_raw + shift, a), lk.mod_star(w.beta_raw + shift, a)
+        if 1 < alpha < beta < a:
+            break
+    else:
+        raise AssertionError(f"no far-end labelling of {w} normalizes")
+    first = P.arcs.index(tuple(sorted((alpha_raw, w.beta_raw)))) + 1
+    lift = P.arcs.index(tuple(sorted((w.beta_raw, gamma_raw)))) + 1
+    Q = lk.rotate(lk.rotate(P, bindings=shift), pages=1 - first)
+    return lk.NormalizedNonStar(Q, alpha=alpha, beta=beta, lift_page=lk.mod_star(lift + 1 - first, a))
 
 
 class TestNormalize:
@@ -398,19 +425,18 @@ class TestNormalize:
             assert Q.arcs.index((nns.alpha, nns.beta)) + 1 == 1
             assert Q.arcs.index((nns.beta, a)) + 1 == nns.lift_page
             assert nns.lift_page >= 2
-            # the two-step relabelling, pages found by search
-            for alpha_raw, gamma_raw in ((w.alpha_raw, w.gamma_raw), (w.gamma_raw, w.alpha_raw)):
-                shift = a - gamma_raw
-                if 1 < lk.mod_star(alpha_raw + shift, a) < lk.mod_star(w.beta_raw + shift, a) < a:
-                    break
-            assert (nns.alpha, nns.beta) == (
-                lk.mod_star(alpha_raw + shift, a),
-                lk.mod_star(w.beta_raw + shift, a),
-            )
-            first = P.arcs.index(tuple(sorted((alpha_raw, w.beta_raw)))) + 1
-            lift = P.arcs.index(tuple(sorted((w.beta_raw, gamma_raw)))) + 1
-            assert Q == lk.rotate(lk.rotate(P, bindings=shift), pages=1 - first)
-            assert nns.lift_page == lk.mod_star(lift + 1 - first, a)
+            assert nns == reference_normalize(P, w)
+
+    @pytest.mark.parametrize("a", [5, 6])
+    def test_matches_two_labelling_search_on_every_presentation(self, a):
+        seen = 0
+        for P in arc_presentations(a):
+            w = lk.find_nonstar_witness(P)
+            if w is None:
+                continue
+            seen += 1
+            assert lk.normalize_for_nonstar(P, w) == reference_normalize(P, w), P.arcs
+        assert seen == {5: 264, 6: 7200}[a]
 
     @pytest.mark.parametrize(
         "broken",
@@ -466,6 +492,21 @@ class TestNormalize:
         assert before == after
 
 
+def reference_torus_order_check(P):
+    """Torus order by search: every rotation offset, in order then reversed."""
+    a = P.a
+    n = (a - 1) // 2
+    page_by_pair = {pair: p for p, pair in enumerate(P.arcs, start=1)}
+    pages = [page_by_pair[tuple(sorted((i, lk.mod_star(i + n, a))))] for i in range(1, a + 1)]
+    for m in range(a):
+        if all(pages[i - 1] == lk.mod_star(i + m, a) for i in range(1, a + 1)):
+            return lk.TorusClassification(n=n, direction="in-order", rotation_offset=m)
+    for m in range(a):
+        if all(pages[i - 1] == lk.mod_star(m - i, a) for i in range(1, a + 1)):
+            return lk.TorusClassification(n=n, direction="reverse-order", rotation_offset=m)
+    return None
+
+
 class TestTorusOrder:
     def test_pentagram_classification(self, p5):
         tc = lk.torus_order_check(p5)
@@ -505,6 +546,15 @@ class TestTorusOrder:
         P = lk.ArcPresentation(tuple(arcs))
         tc = lk.torus_order_check(P)
         assert tc is not None and tc.direction == "reverse-order"
+
+    @pytest.mark.parametrize("a", [5, 7])
+    def test_matches_offset_search_on_every_page_order(self, a):
+        torus = 0
+        for P in star_presentations(a):
+            tc = lk.torus_order_check(P)
+            assert tc == reference_torus_order_check(P), P.arcs
+            torus += tc is not None
+        assert torus == 2 * a
 
     def test_exhaustive_a5_counts(self):
         torus = sum(lk.torus_order_check(P) is not None for P in star_presentations(5))

@@ -1,5 +1,6 @@
 """Pipeline orchestration, certificates, and bound checks."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -8,7 +9,8 @@ import pytest
 import latticeknot as lk
 import latticeknot.certify as certify_mod
 from latticeknot import LaurentPolynomial as LP
-from latticeknot import dataset
+from latticeknot import dataset, jsonio
+from latticeknot.certify import build_branch
 
 from conftest import arc_presentations, random_star_presentation, star_in_order
 
@@ -21,6 +23,33 @@ def scrambled_star(a):
     P = lk.ArcPresentation(tuple(chords))
     assert lk.is_star_shaped(P) and lk.torus_order_check(P) is None
     return P
+
+
+# sha256 of the lines test_auto_branch_and_polygon_match_pinned_digest joins;
+# it moves when the branch auto picks or the polygon built for one does
+AUTO_BUILDS_SHA256 = "5538dec51dd30ece1d0b84f0e31e5cb63c63906d32838726dc35ff5fa51be866"
+
+
+class TestBuildBranch:
+    @pytest.mark.parametrize("outcome", ["torus-star", "dual-nonstar"])
+    def test_outcome_names_are_not_requests(self, p5, outcome):
+        # p5 is in torus order and scrambled_star(5) is not: neither is built
+        for P in (p5, scrambled_star(5)):
+            with pytest.raises(ValueError, match=f"unknown branch '{outcome}'"):
+                build_branch(P, outcome)
+
+    def test_auto_branch_and_polygon_match_pinned_digest(self, random_suite):
+        """The branch "auto" picks and its canonical polygon JSON, for every
+        bundled knot and every suite item."""
+        lines = []
+        for name in dataset.names():
+            branch, poly = build_branch(dataset.get(name).arcs, "auto")
+            lines.append(f"{name} {branch} {jsonio.canonical_dumps(poly.to_json_obj())}")
+        for k, item in enumerate(random_suite):
+            branch, poly = build_branch(item.presentation, "auto")
+            lines.append(f"suite-{k} {branch} {jsonio.canonical_dumps(poly.to_json_obj())}")
+        assert len(lines) == 217
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == AUTO_BUILDS_SHA256
 
 
 class TestConstructAuto:

@@ -539,6 +539,35 @@ class TestOutputPaths:
         assert out == Path(file_path).read_text()
         assert not (files["dir"] / "-").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--out", ""],
+            ["render", "--svg", ""],
+            ["render", "--obj", ""],
+            ["render", "--svg", "", "--obj", "out.obj"],
+            ["render", "--svg", "out.svg", "--obj", ""],
+        ],
+    )
+    @pytest.mark.parametrize("source", ["readable", "missing"])
+    def test_empty_path_is_a_usage_error(self, files, monkeypatch, argv, source):
+        """An empty path names no file: exit 64 naming the option, checked
+        before the input is read, so a missing input does not change it."""
+        poly_path = str(files["dir"] / "poly.json")
+        run(["build", files["4_1"], "--out", poly_path])
+        out_dir = files["dir"] / "out"
+        out_dir.mkdir()
+        monkeypatch.chdir(out_dir)
+        if source == "missing":
+            src = "/nonexistent/x.json"
+        else:
+            src = files["4_1"] if argv[0] == "build" else poly_path
+        code, out, err = run([*argv, src])
+        assert code == 64
+        assert out == ""
+        assert err.startswith(f"usage error: argument {argv[argv.index('') - 1]}: empty path")
+        assert list(out_dir.iterdir()) == []
+
     def test_svg_and_obj_on_stdout_together_is_a_usage_error(self, monkeypatch, tmp_path):
         # checked before the file is read, like every other render usage error
         monkeypatch.chdir(tmp_path)
