@@ -10,7 +10,10 @@ polynomial of an overpass minor and an optional Kauffman-bracket Jones
 polynomial.  A PlanarDiagram stores only its Gauss word (the passages in
 traversal order) and its crossing signs; passage j leaves on edge j, and
 edge 2n enters passage 1.  Simplification and the overpass minor read
-only these.  Each passage is a pair (crossing, passes_over), and
+only these.  Simplification is one worklist pass: the passages linked in
+a cycle, a stack of kinks and a min-heap of bigon positions, so each
+removal touches only its neighbours and a word of n passages takes
+O(n log n).  Each passage is a pair (crossing, passes_over), and
 construction checks that every crossing is passed once over and once
 under.  The PD code, one tuple of four edge labels per crossing, is
 derived on demand for pd_code_text() and the Kauffman bracket, off the
@@ -30,7 +33,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import compress
 from math import isqrt
+from operator import sub
 
 from .arc import ArcPresentation
 from .errors import InternalInvariantError
@@ -308,32 +314,101 @@ def simplify_diagram(d: PlanarDiagram) -> PlanarDiagram:
     angle, on one side.  The rest of the knot joins k1 to k2 off the curve,
     so all of it lies on that side; the other side is an empty face, and as
     the roles are equal one strand is over at both of its corners
-    (Reidemeister II).  The first such pair in passage order goes, and the
-    search starts again.  The diagram is assembled once, at the end.
+    (Reidemeister II).  The first such pair in passage order goes, then the
+    kinks again.  The diagram is assembled once, at the end.
+
+    One worklist pass does this.  The passages keep their positions in the
+    word, linked cyclically (nxt, prv) and unlinked as they go, and
+    partner[j] is the other passage of j's crossing.  Removing passages
+    never separates two that are consecutive, so a kink stays a kink and a
+    bigon a bigon until one of its passages goes, and a new one can only
+    appear where a removal makes u -> v consecutive: a kink when v is u's
+    partner, else a bigon at u, or on the far side at partner[u] or
+    partner[v] when those two are now consecutive as well.  So a first scan
+    seeds a stack of kinks and a min-heap of bigon positions, and each
+    removal pushes only what its new links open.  Kinks go in any order,
+    all of them, before the next bigon, since which crossings they remove
+    does not depend on the order.  The heap's smallest position that is
+    still a bigon is the first bigon in passage order, as the survivors
+    keep their order; the wrap pair counts at the last survivor.  Every
+    removal pushes a bounded number of positions and each is popped at
+    most once, so a word of n passages takes O(n log n).
     """
-    events = list(d.gauss)
-    while events:
-        kinks = {ci for j, (ci, _) in enumerate(events) if events[j - 1][0] == ci}
+    gauss = d.gauss
+    total = len(gauss)
+    over = [o for _, o in gauss]
+    partner = [0] * total
+    first = [-1] * d.n
+    kinks = []  # each kink by its first passage, whose nxt is its partner
+    for j, (ci, _) in enumerate(gauss):
+        i = first[ci]
+        if i < 0:
+            first[ci] = j
+        else:
+            partner[i], partner[j] = j, i
+            if j == i + 1:
+                kinks.append(i)
+    if total and partner[-1] == 0:
+        kinks.append(total - 1)
+    nxt, prv = list(range(1, total + 1)), list(range(-1, total - 1))
+    if total:
+        nxt[-1], prv[0] = 0, total - 1
+    # a bigon at j: the partners of j and j+1 are consecutive and the roles
+    # equal (over[j + 1 - total] is over[j + 1], cyclically); built in
+    # increasing j, the list is already a heap
+    near = {1, -1, total - 1, 1 - total}
+    heap = [
+        j
+        for j, gap in enumerate(map(sub, partner, partner[1:] + partner[:1]))
+        if gap in near and over[j] == over[j + 1 - total]
+    ]
+    alive = [True] * total
+    while True:
         if kinks:
-            events = [ev for ev in events if ev[0] not in kinks]
-            continue
-        total = len(events)
-        # sum of a crossing's two positions: position j's partner is spans[ci] - j
-        spans: dict[int, int] = {}
-        for j, (ci, _) in enumerate(events):
-            spans[ci] = spans.get(ci, 0) + j
-        bigon = None
-        for j, (k1, over1) in enumerate(events):
-            j2 = (j + 1) % total
-            k2, over2 = events[j2]
-            gap = (spans[k1] - j) - (spans[k2] - j2)
-            if k1 != k2 and over1 == over2 and gap % total in (1, total - 1):
-                bigon = (k1, k2)
+            j = kinks.pop()
+            if not alive[j]:
+                continue
+            k = partner[j]
+            alive[j] = alive[k] = False
+            u, w = prv[j], nxt[k]
+            nxt[u], prv[w] = w, u
+            ends: tuple[int, ...] = (u,)
+        else:
+            while heap:
+                j = heappop(heap)
+                if alive[j]:
+                    v = nxt[j]
+                    pj, pv = partner[j], partner[v]
+                    if over[j] == over[v]:
+                        if nxt[pj] == pv:
+                            break
+                        if nxt[pv] == pj:
+                            pj, pv = pv, pj
+                            break
+            else:
                 break
-        if bigon is None:
-            break
-        events = [ev for ev in events if ev[0] not in bigon]
-    return _assemble(events, d.signs)
+            # cut the pair j -> v, then the far pair, now pj -> pv
+            alive[j] = alive[v] = alive[pj] = alive[pv] = False
+            u, w = prv[j], nxt[v]
+            nxt[u], prv[w] = w, u
+            x, w = prv[pj], nxt[pv]
+            nxt[x], prv[w] = w, x
+            ends = (u, x)
+        for u in ends:
+            if not alive[u]:
+                continue
+            v = nxt[u]
+            pu, pv = partner[u], partner[v]
+            if pu == v:
+                kinks.append(u)
+            elif over[u] == over[v]:  # so over[pu] == over[pv] as well
+                if nxt[pu] == pv:
+                    heappush(heap, u)
+                    heappush(heap, pu)
+                if nxt[pv] == pu:
+                    heappush(heap, u)
+                    heappush(heap, pv)
+    return _assemble(list(compress(gauss, alive)), d.signs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 random suite, helpers that only the tests use (faces, mirror, exact
 division, the lift sweep, random and page-permuted star presentations, a
 stick's points, constructions scaled and moved across the coordinate
-range), and the per-stick forms of the polygon normaliser and the
-validator that the flat passes in src/ replaced."""
+range), the per-stick forms of the polygon normaliser and the validator
+that the flat passes in src/ replaced, and the rescanning simplify loop
+that the worklist pass replaced."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import latticeknot as lk
 from latticeknot import LaurentPolynomial, LatticePolygon, jsonio
 from latticeknot.certify import build_branch
+from latticeknot.diagram import _assemble
 from latticeknot.errors import InternalInvariantError
 from latticeknot.lattice import FIXED_COORDS, LatticeStick, Violation, _nonstar_cycle, _polygon
 
@@ -214,6 +216,38 @@ def random_suite() -> list[SuiteItem]:
         poly, cert = lk.construct_auto(P)
         items.append(SuiteItem(P, poly, cert))
     return items
+
+
+# ---------------------------------------------------------------------------
+# the rescanning simplify loop the worklist pass replaced
+
+
+def rescan_simplify_diagram(d: lk.PlanarDiagram) -> lk.PlanarDiagram:
+    """simplify_diagram as a rescanning loop: all kinks at once, then the
+    first bigon in passage order, each round rebuilt from the whole word."""
+    events = list(d.gauss)
+    while events:
+        kinks = {ci for j, (ci, _) in enumerate(events) if events[j - 1][0] == ci}
+        if kinks:
+            events = [ev for ev in events if ev[0] not in kinks]
+            continue
+        total = len(events)
+        # sum of a crossing's two positions: position j's partner is spans[ci] - j
+        spans: dict[int, int] = {}
+        for j, (ci, _) in enumerate(events):
+            spans[ci] = spans.get(ci, 0) + j
+        bigon = None
+        for j, (k1, over1) in enumerate(events):
+            j2 = (j + 1) % total
+            k2, over2 = events[j2]
+            gap = (spans[k1] - j) - (spans[k2] - j2)
+            if k1 != k2 and over1 == over2 and gap % total in (1, total - 1):
+                bigon = (k1, k2)
+                break
+        if bigon is None:
+            break
+        events = [ev for ev in events if ev[0] not in bigon]
+    return _assemble(events, d.signs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Grid diagrams, simplification, Alexander, determinant, Kauffman bracket."""
 
+import functools
 import hashlib
 import random
 
@@ -9,10 +10,18 @@ from hypothesis import given, settings, strategies as st
 import latticeknot as lk
 from latticeknot import LaurentPolynomial as LP
 from latticeknot import dataset, diagram
+from latticeknot.certify import _output_diagram, build_branch
 from latticeknot.diagram import _assemble, _bareiss_det, _overpass_minor
 from latticeknot.laurent import canonicalize
 
-from conftest import div_exact, faces, mirror, star_in_order, torus_alexander
+from conftest import (
+    div_exact,
+    faces,
+    mirror,
+    rescan_simplify_diagram,
+    star_in_order,
+    torus_alexander,
+)
 
 TREFOIL = LP.from_coeffs([1, -1, 1])
 FIG8 = LP.from_coeffs([1, -3, 1])
@@ -82,6 +91,108 @@ class TestSimplify:
         # trivial a=3 cycle: three arcs, unknotted
         D = lk.arc_to_planar(lk.validate([[1, 2], [2, 3], [1, 3]]))
         assert lk.simplify_diagram(D).n == 0
+
+
+def three_views(P, poly=None):
+    """The grid diagram of P and two views of its auto-built polygon: the
+    cycled one certify reads and the page-axis one invariant prints."""
+    if poly is None:
+        poly = build_branch(P, "auto")[1]
+    return [lk.arc_to_planar(P), _output_diagram(poly), lk.project_polygon(poly)]
+
+
+@functools.cache
+def simplify_corpus():
+    """three_views of random_presentation(a, Random(1000*a + s)) for s < 40
+    at a = 5..20 and s < 6 at a = 24, 32, 48, 56 and 64: 2010 diagrams."""
+    plan = [(a, 40) for a in range(5, 21)] + [(a, 6) for a in (24, 32, 48, 56, 64)]
+    return [
+        D
+        for a, seeds in plan
+        for s in range(seeds)
+        for D in three_views(lk.random_presentation(a, random.Random(1000 * a + s)))
+    ]
+
+
+def word(text):
+    """A diagram from passages like "0+ 1- 1+ 0-" (crossing, over +, under -);
+    crossing k has sign (-1)**k."""
+    events = [(int(p[:-1]), p[-1] == "+") for p in text.split()]
+    n = len(events) // 2
+    return lk.PlanarDiagram(tuple(events), tuple([(-1) ** k for k in range(n)]))
+
+
+def rescan_mismatches(diagrams):
+    """Indices of the diagrams on which simplify_diagram and the rescanning
+    loop return different words or signs."""
+    out = []
+    for k, D in enumerate(diagrams):
+        S, R = lk.simplify_diagram(D), rescan_simplify_diagram(D)
+        if (S.gauss, S.signs) != (R.gauss, R.signs):
+            out.append(k)
+    return out
+
+
+@st.composite
+def crossing_subwords(draw):
+    """A corpus diagram with only some of its crossings kept: any set of
+    crossings spans a Gauss word, planar or not, and simplify reads only
+    the word."""
+    D = draw(st.sampled_from(simplify_corpus()))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    keep = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))
+    kept = {ci for ci in range(D.n) if rng.random() < keep}
+    return _assemble([ev for ev in D.gauss if ev[0] in kept], D.signs)
+
+
+class TestWorklistMatchesRescan:
+    """simplify_diagram returns the word and signs of the rescanning loop it
+    replaced (conftest.rescan_simplify_diagram).  Taking the last bigon
+    instead of the first changes 55 of the 2010 corpus diagrams, and
+    dropping the pushes on a bigon's far side 10, so the corpus stays this
+    large."""
+
+    def test_on_the_corpus(self):
+        corpus = simplify_corpus()
+        assert len(corpus) == 2010
+        assert rescan_mismatches(corpus) == []
+
+    def test_on_the_suite_and_the_dataset(self, random_suite):
+        diagrams = [D for item in random_suite for D in three_views(item.presentation, item.polygon)]
+        diagrams += [D for name in dataset.names() for D in three_views(dataset.get(name).arcs)]
+        assert rescan_mismatches(diagrams) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(crossing_subwords())
+    def test_on_crossing_subwords(self, D):
+        assert rescan_mismatches([D]) == []
+
+    @pytest.mark.parametrize(
+        "text, left",
+        [
+            ("", 0),
+            # nested kinks, each one opened by removing the one inside it,
+            # spliced into the trefoil's alternating word
+            ("0+ 1- 2+ 3+ 4+ 5+ 5- 4- 3- 0- 1+ 2-", 3),
+            # [a, b, a, b]: one bigon whose two sides are consecutive
+            ("0+ 1+ 0- 1-", 0),
+            # the same once kink 2 goes: the new link from 0+ to 1+ closes it
+            ("0+ 2+ 2- 1+ 0- 1-", 0),
+            # bigons {3, 4} (passages 4 and 8) and {4, 0} (passage 5 and the
+            # wrap pair 9 -> 0) share crossing 4: the first in passage order goes
+            ("0+ 1- 2- 1+ 3- 4- 0- 2+ 3+ 4+", 3),
+            # the same with kink 5 between 3+ and 4+: removing it closes
+            # {3, 4} at passage 8, and only its far side, passage 4, comes
+            # before {4, 0} at passage 5
+            ("0+ 1- 2- 1+ 3- 4- 0- 2+ 3+ 5- 5+ 4+", 3),
+            # a bigon {1, 0} whose near side is the wrap pair, and {2, 3}
+            ("0+ 2+ 3+ 1- 0- 3- 2- 1+", 0),
+        ],
+    )
+    def test_explicit_words(self, text, left):
+        D = word(text)
+        assert rescan_mismatches([D]) == []
+        assert lk.simplify_diagram(D).n == left
 
 
 def reference_simplify_diagram(d):
